@@ -42,7 +42,7 @@ struct Plan {
 // gives its stage the large input.
 bool MakePlan(const std::string& workload, Plan* plan) {
   if (workload == "ingest") {
-    plan->ingest.arrivals = 1 << 22;  // the store ends far past L2
+    plan->ingest.arrivals = 1 << 21;  // the store ends far past L2
     plan->ingest_share = 0.5;
   } else if (workload == "durable") {
     plan->ingest.arrivals = 1 << 20;  // past L2, cheap enough to cycle

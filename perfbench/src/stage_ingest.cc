@@ -23,38 +23,38 @@ using cuckoograph::analytics::KernelOptions;
 using cuckoograph::analytics::KernelResult;
 using cuckoograph::analytics::SnapshotOptions;
 
-constexpr size_t kChunks = 16;          // rate samples per phase per cycle
 constexpr size_t kPageRankIterations = 10;
 constexpr uint64_t kStallNs = 100000;   // core.insert_stalls threshold
 constexpr size_t kAnalyticsRounds = 3;  // BFS + PageRank rounds per cycle
 
 double Seconds(uint64_t ns) { return static_cast<double>(ns) / 1e9; }
 
-// Applies `op` to every edge in fixed-size chunks, appending each chunk's
-// rate (Mops) to `rates`; with `per_op` each call is timed into it.
-// Returns how many calls returned true.
+// Applies `op` to every edge and adds the wall time to `elapsed_ns`; with
+// `per_op` each call is also timed into it. Returns how many calls
+// returned true. A phase's rate sample is its whole throughput, one per
+// cycle: parts of a phase differ in content (a growing or shrinking store,
+// present or absent probes), so a median over parts would hinge on the
+// pair in the middle, while the whole phase is the same work every cycle.
 template <typename Op>
-size_t RunChunked(const std::vector<Edge>& edges, Histogram* per_op,
-                  std::vector<double>* rates, Op op) {
-  const size_t chunk = std::max<size_t>(1, edges.size() / kChunks);
+size_t RunTimed(const std::vector<Edge>& edges, Histogram* per_op,
+                uint64_t* elapsed_ns, Op op) {
   size_t hits = 0;
-  for (size_t begin = 0; begin < edges.size(); begin += chunk) {
-    const size_t end = std::min(edges.size(), begin + chunk);
-    const uint64_t start = NowNs();
-    if (per_op == nullptr) {
-      for (size_t i = begin; i < end; ++i) hits += op(edges[i]) ? 1 : 0;
-    } else {
-      for (size_t i = begin; i < end; ++i) {
-        const uint64_t t0 = NowNs();
-        hits += op(edges[i]) ? 1 : 0;
-        per_op->Record(NowNs() - t0);
-      }
+  const uint64_t start = NowNs();
+  if (per_op == nullptr) {
+    for (const Edge& e : edges) hits += op(e) ? 1 : 0;
+  } else {
+    for (const Edge& e : edges) {
+      const uint64_t t0 = NowNs();
+      hits += op(e) ? 1 : 0;
+      per_op->Record(NowNs() - t0);
     }
-    const uint64_t ns = std::max<uint64_t>(1, NowNs() - start);
-    rates->push_back(static_cast<double>(end - begin) * 1e3 /
-                     static_cast<double>(ns));
   }
+  *elapsed_ns += std::max<uint64_t>(1, NowNs() - start);
   return hits;
+}
+
+double Mops(size_t ops, uint64_t ns) {
+  return static_cast<double>(ops) * 1e3 / static_cast<double>(ns);
 }
 
 bool SameDepths(const KernelResult& a, const KernelResult& b) {
@@ -79,7 +79,7 @@ double TimeSeconds(Fn&& fn) {
 }  // namespace
 
 struct IngestStage::Samples {
-  // Untraced cycles: chunk rates (Mops) and per-call times.
+  // Untraced cycles: phase throughputs (Mops) and per-call times.
   Series insert, query, del, snapshot, bfs, pagerank;
   std::vector<double> bytes_per_edge, pass_s;
   // Traced cycles.
@@ -161,10 +161,11 @@ double IngestStage::RunUnit(const RunOptions& opts, bool traced, Failures* f) {
   switch (c.phase) {
     case Cycle::kInsert: {
       ScopedSpan span(tracer, "core.InsertEdge*", cycle_id, 0);
+      uint64_t ns = 0;
       const size_t inserted =
-          RunChunked(in.arrivals, traced ? &t.insert_ns : nullptr,
-                     &s.insert.values,
-                     [&g](const Edge& e) { return g.InsertEdge(e.u, e.v); });
+          RunTimed(in.arrivals, traced ? &t.insert_ns : nullptr, &ns,
+                   [&g](const Edge& e) { return g.InsertEdge(e.u, e.v); });
+      s.insert.values.push_back(Mops(in.arrivals.size(), ns));
       f->Count(in.arrivals.size(), inserted == in.distinct.size() ? 0 : 1,
                "ingest: insert returned " + std::to_string(inserted) +
                    " new, expected " + std::to_string(in.distinct.size()));
@@ -177,10 +178,13 @@ double IngestStage::RunUnit(const RunOptions& opts, bool traced, Failures* f) {
     case Cycle::kQuery: {
       ScopedSpan span(tracer, "core.QueryEdge*", cycle_id, 0);
       const auto query = [&g](const Edge& e) { return g.QueryEdge(e.u, e.v); };
-      const size_t hits = RunChunked(
-          in.arrivals, traced ? &t.query_ns : nullptr, &s.query.values, query);
-      const size_t false_hits = RunChunked(
-          in.absent, traced ? &t.query_ns : nullptr, &s.query.values, query);
+      uint64_t ns = 0;
+      const size_t hits =
+          RunTimed(in.arrivals, traced ? &t.query_ns : nullptr, &ns, query);
+      const size_t false_hits =
+          RunTimed(in.absent, traced ? &t.query_ns : nullptr, &ns, query);
+      s.query.values.push_back(
+          Mops(in.arrivals.size() + in.absent.size(), ns));
       f->Count(in.arrivals.size(), in.arrivals.size() - hits,
                "ingest: present edges reported absent");
       f->Count(in.absent.size(), false_hits,
@@ -290,9 +294,11 @@ double IngestStage::RunUnit(const RunOptions& opts, bool traced, Failures* f) {
       size_t deleted = 0;
       {
         ScopedSpan span(tracer, "core.DeleteEdge*", cycle_id, 0);
-        deleted = RunChunked(
-            in.deletes, traced ? &t.delete_ns : nullptr, &s.del.values,
-            [&g](const Edge& e) { return g.DeleteEdge(e.u, e.v); });
+        uint64_t ns = 0;
+        deleted =
+            RunTimed(in.deletes, traced ? &t.delete_ns : nullptr, &ns,
+                     [&g](const Edge& e) { return g.DeleteEdge(e.u, e.v); });
+        s.del.values.push_back(Mops(in.deletes.size(), ns));
       }
       f->Count(in.deletes.size(), in.deletes.size() - deleted,
                "ingest: delete missed present edges");
@@ -349,11 +355,11 @@ StageReport IngestStage::Report(const RunOptions& opts) {
                     " untraced cycles of " +
                     std::to_string(in.arrivals.size()) +
                     " arrivals (" + std::to_string(in.distinct.size()) +
-                    " distinct); rates are medians of " +
-                    std::to_string(kChunks) + " chunks per phase per cycle; " +
+                    " distinct); rates are medians over cycles of each "
+                    "phase's throughput; " +
                     std::to_string(s.insert.Clean().size()) + " of " +
                     std::to_string(s.insert.values.size()) +
-                    " insert chunks and " +
+                    " insert phases and " +
                     std::to_string(s.bfs.Clean().size()) +
                     " of " + std::to_string(s.bfs.values.size()) +
                     " BFS calls ran at low steal");
