@@ -194,21 +194,17 @@ std::string FmtX(double x) {
   return buffer;
 }
 
-// ---- Read-path scaling: stripe-locked vs optimistic (seqlock) reads ----
+// ---- Read-path scaling: stripe-locked reads --------------------------------
 //
-// The same loaded store is swept twice per thread count — once with
-// Config::optimistic_reads off (every read takes the shard's reader
-// lock) and once with it on (seqlock-validated lock-free probes) — over
-// two phases:
+// A loaded store is swept once per thread count over two phases:
 //  - query-only: every thread walks the whole stream (all hits) with no
-//    writer anywhere, so optimistic validation succeeds first try and
-//    the gap between the rows is pure locking overhead;
+//    writer anywhere, so the row measures shared-lock reads alone;
 //  - read-mostly (95/5): each thread interleaves 19 point queries with
 //    one insert-or-delete in a thread-private source range, so readers
-//    race real seqlock writers on shared shards. A single-threaded
-//    replay of each thread's mutation stream is the oracle for the
-//    final edge count, and every query targets a loaded stream edge
-//    (the churn sources are disjoint), so every probe must hit.
+//    contend with writers on shared shards. A single-threaded replay of
+//    each thread's mutation stream is the oracle for the final edge
+//    count, and every query targets a loaded stream edge (the churn
+//    sources are disjoint), so every probe must hit.
 
 constexpr NodeId kReadChurnBase = 0x60000000;  // disjoint from the rest
 constexpr size_t kReadMostlyOpsPerThread = 1 << 15;
@@ -244,20 +240,18 @@ struct ReadScaleResult {
   bool ok = true;
 };
 
-ReadScaleResult RunReadScaling(const Config& base, bool optimistic,
+ReadScaleResult RunReadScaling(const Config& config,
                                const std::vector<Edge>& stream,
                                size_t distinct, int threads) {
-  Config config = base;
-  config.optimistic_reads = optimistic;
   ShardedCuckooGraph store(config);
   for (const Edge& e : stream) store.InsertEdge(e.u, e.v);
 
   ReadScaleResult result;
   const size_t n = stream.size();
-  const char* mode = optimistic ? "optimistic" : "locked";
   if (store.NumEdges() != distinct) {
-    std::fprintf(stderr, "FAIL: %s/%d load left %zu edges, expected %zu\n",
-                 mode, threads, store.NumEdges(), distinct);
+    std::fprintf(stderr,
+                 "FAIL: read-scaling/%d load left %zu edges, expected %zu\n",
+                 threads, store.NumEdges(), distinct);
     result.ok = false;
   }
 
@@ -278,20 +272,8 @@ ReadScaleResult RunReadScaling(const Config& base, bool optimistic,
   result.query_mops = Mops(n * static_cast<size_t>(threads), query_s);
   if (found.load() != n * static_cast<size_t>(threads)) {
     std::fprintf(stderr,
-                 "FAIL: %s/%d query-only found %zu of %zu probes\n", mode,
+                 "FAIL: read-scaling/%d query-only found %zu of %zu probes\n",
                  threads, found.load(), n * static_cast<size_t>(threads));
-    result.ok = false;
-  }
-  // The knob must decide which path actually served the reads: with no
-  // writer racing, optimistic mode validates first try every time.
-  const auto rp = store.read_path_stats();
-  if (optimistic ? rp.optimistic == 0 : rp.optimistic != 0) {
-    std::fprintf(stderr,
-                 "FAIL: %s/%d read-path stats disagree with the knob "
-                 "(optimistic=%llu locked=%llu)\n",
-                 mode, threads,
-                 static_cast<unsigned long long>(rp.optimistic),
-                 static_cast<unsigned long long>(rp.locked));
     result.ok = false;
   }
 
@@ -326,15 +308,17 @@ ReadScaleResult RunReadScaling(const Config& base, bool optimistic,
       kReadMostlyOpsPerThread * static_cast<size_t>(threads), mixed_s);
   if (hit.load() != issued.load()) {
     std::fprintf(stderr,
-                 "FAIL: %s/%d read-mostly hit %zu of %zu pinned probes\n",
-                 mode, threads, hit.load(), issued.load());
+                 "FAIL: read-scaling/%d read-mostly hit %zu of %zu pinned "
+                 "probes\n",
+                 threads, hit.load(), issued.load());
     result.ok = false;
   }
   const size_t expected = distinct + ReadMostlyOracleEdges(threads);
   if (store.NumEdges() != expected) {
     std::fprintf(stderr,
-                 "FAIL: %s/%d read-mostly left %zu edges, expected %zu\n",
-                 mode, threads, store.NumEdges(), expected);
+                 "FAIL: read-scaling/%d read-mostly left %zu edges, "
+                 "expected %zu\n",
+                 threads, store.NumEdges(), expected);
     result.ok = false;
   }
   return result;
@@ -408,25 +392,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Read-path scaling: two rows per thread count — optimistic_reads off
-  // (stripe-locked reads) vs on (seqlock + epoch lock-free reads).
-  bench::PrintHeader(
-      "read-scaling",
-      "Read-path sweep, aggregate Mops: stripe-locked vs optimistic "
-      "(seqlock+epoch) reads",
-      {"query-only", "read-mostly(95/5)"});
+  // Read-path scaling: one row per thread count.
+  bench::PrintHeader("read-scaling",
+                     "Read-path sweep, aggregate Mops: stripe-locked reads",
+                     {"query-only", "read-mostly(95/5)"});
   const auto read_scale_row = [&](int threads) {
-    for (const bool optimistic : {false, true}) {
-      const ReadScaleResult r =
-          RunReadScaling(config, optimistic, stream, distinct, threads);
-      bench::PrintRow(
-          "read-scaling",
-          {std::string(optimistic ? "optimistic/" : "locked/") +
-               std::to_string(threads),
-           bench::FmtMops(r.query_mops),
-           bench::FmtMops(r.read_mostly_mops)});
-      ok = ok && r.ok;
-    }
+    const ReadScaleResult r = RunReadScaling(config, stream, distinct, threads);
+    bench::PrintRow("read-scaling",
+                    {"cuckoo-sharded/" + std::to_string(threads),
+                     bench::FmtMops(r.query_mops),
+                     bench::FmtMops(r.read_mostly_mops)});
+    ok = ok && r.ok;
   };
   for (int threads = 1; threads <= max_threads; threads *= 2) {
     read_scale_row(threads);

@@ -88,27 +88,7 @@
 #define CUCKOOGRAPH_NO_THREAD_SAFETY_ANALYSIS \
   CUCKOOGRAPH_THREAD_ANNOTATION(no_thread_safety_analysis)
 
-// ---- ThreadSanitizer interaction -------------------------------------------
-// A seqlock reader intentionally races the writer on the protected data:
-// it probes without the lock and *discards* any value whose sequence
-// validation fails. TSan cannot model "read, then validate, then keep or
-// discard", so the handful of optimistic probe functions are excluded
-// from instrumentation. Everything else — the sequence word, the epoch
-// slots, the locked fallback — uses real atomics/mutexes and stays fully
-// TSan-checked.
-#if defined(__SANITIZE_THREAD__)
-#define CUCKOOGRAPH_NO_SANITIZE_THREAD __attribute__((no_sanitize_thread))
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define CUCKOOGRAPH_NO_SANITIZE_THREAD __attribute__((no_sanitize("thread")))
-#endif
-#endif
-#ifndef CUCKOOGRAPH_NO_SANITIZE_THREAD
-#define CUCKOOGRAPH_NO_SANITIZE_THREAD
-#endif
-
-// Forces inlining so tiny probe helpers dissolve into their (possibly
-// TSan-excluded) callers instead of surviving as instrumented calls.
+// Forces inlining so tiny probe helpers dissolve into their callers.
 #if defined(__GNUC__) || defined(__clang__)
 #define CUCKOOGRAPH_ALWAYS_INLINE inline __attribute__((always_inline))
 #else

@@ -68,15 +68,6 @@ struct Config {
   // growing the affected table immediately.
   bool enable_deny_list = true;
 
-  // Lock-free reads in the concurrent front-end (ShardedCuckooGraph):
-  // queries first attempt a seqlock-validated probe without taking the
-  // shard lock, falling back to the shared-lock path after a bounded
-  // number of validation failures (or when every epoch slot is busy).
-  // Ignored by the single-threaded CuckooGraph itself. Disable to force
-  // every read through the stripe lock — useful to isolate the
-  // optimistic path in benchmarks (docs/PERFORMANCE.md) or to debug.
-  bool optimistic_reads = true;
-
   // Shard count of the concurrent front-end (ShardedCuckooGraph): the
   // structure is partitioned by source-vertex hash into this many
   // independent CuckooGraph shards behind per-shard locks. Ignored by the

@@ -1,14 +1,11 @@
 #include "core/cuckoo_graph.h"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/crash_point.h"
-#include "common/thread_annotations.h"
 
 namespace cuckoograph {
 
@@ -21,32 +18,10 @@ namespace internal {
 // A per-vertex S-CHT chain: up to R nested cuckoo tables (head first) plus
 // this table set's denylist. `size` counts every stored neighbour,
 // denylist included.
-//
-// The reader_* members are the chain's *mirror* for lock-free readers:
-// enumerating `tables` itself (a vector that grows and gets replaced) is
-// not crash-safe without the lock, so writers republish the table count
-// and each table's storage block into these atomics after every
-// structural change (PublishChainMirror), and the denylist count after
-// every denylist mutation. Mirror entries may be stale — they then point
-// at retired-but-not-yet-freed blocks (epoch limbo), and the reader's
-// sequence validation rejects whatever was read. A chain that outgrows
-// the mirror (only possible with a non-default max_chain_tables > 8)
-// stores kMirrorOverflow, telling readers to use their locked fallback.
 struct Chain {
-  static constexpr size_t kMirrorTables = 8;
-  static constexpr uint32_t kMirrorOverflow = UINT32_MAX;
-
   std::vector<CuckooTable<CuckooGraph::Neighbor>> tables;
-  // Reserved to denylist_limit at construction, mutated in place only
-  // (stable data(); see the matching comment on l_denylist_).
   std::vector<CuckooGraph::Neighbor> denylist;
   size_t size = 0;
-
-  std::atomic<uint32_t> reader_num_tables{0};
-  std::atomic<uint32_t> reader_deny_count{0};
-  std::array<std::atomic<const CuckooTable<CuckooGraph::Neighbor>::Block*>,
-             kMirrorTables>
-      reader_tables{};
 };
 
 }  // namespace internal
@@ -75,9 +50,7 @@ CuckooGraph::CuckooGraph(const Config& config)
       h1_(0x7feb352d),
       h2_(0x846ca68b),
       rng_(0x2545f4914f6cdd1dULL),
-      l_(config_.l_initial_buckets, config_.cells_per_bucket) {
-  l_denylist_.reserve(static_cast<size_t>(config_.denylist_limit));
-}
+      l_(config_.l_initial_buckets, config_.cells_per_bucket) {}
 
 CuckooGraph::~CuckooGraph() {
   l_.ForEach([](const VertexEntry& e) {
@@ -348,9 +321,6 @@ void CuckooGraph::PlaceVertex(VertexEntry entry) {
     if (config_.enable_deny_list &&
         l_denylist_.size() < static_cast<size_t>(config_.denylist_limit)) {
       l_denylist_.push_back(entry);
-      reader_l_deny_count_.store(
-          static_cast<uint32_t>(l_denylist_.size()),
-          std::memory_order_release);
       ++denylist_parks_;
       return;
     }
@@ -385,15 +355,8 @@ void CuckooGraph::RebuildL(size_t new_buckets) {
       }
     }
     if (ok) {
-      // Commit: swap the bucket block in (retiring the old one for any
-      // in-flight optimistic reader) and refresh the denylist in place —
-      // assign() stays within the reserved capacity, so data() never
-      // moves under a reader.
-      l_.AdoptFrom(std::move(fresh), reclaimer_);
-      l_denylist_.assign(deny.begin(), deny.end());
-      reader_l_deny_count_.store(
-          static_cast<uint32_t>(l_denylist_.size()),
-          std::memory_order_release);
+      l_ = std::move(fresh);
+      l_denylist_ = std::move(deny);
       l_stats_.rehash_moves += items.size();
       return;
     }
@@ -420,9 +383,6 @@ void CuckooGraph::RemoveVertex(NodeId u) {
       if (l_denylist_[i].has_chain) FreeChain(l_denylist_[i].chain);
       l_denylist_[i] = l_denylist_.back();
       l_denylist_.pop_back();
-      reader_l_deny_count_.store(
-          static_cast<uint32_t>(l_denylist_.size()),
-          std::memory_order_release);
       return;
     }
   }
@@ -434,23 +394,13 @@ internal::Chain* CuckooGraph::NewChain() {
   auto* c = new internal::Chain();
   c->tables.emplace_back(config_.s_initial_buckets,
                          config_.cells_per_bucket);
-  c->denylist.reserve(static_cast<size_t>(config_.denylist_limit));
-  PublishChainMirror(c);
   ++num_chains_;
   return c;
 }
 
-// A freed chain may still be probed by an optimistic reader that copied
-// the owning vertex entry before the writer detached it, so the whole
-// Chain (tables, blocks, denylist) rides the limbo list when a reclaimer
-// is wired up.
 void CuckooGraph::FreeChain(internal::Chain* c) {
   --num_chains_;
-  if (reclaimer_ != nullptr) {
-    reclaimer_->Retire([c] { delete c; });
-  } else {
-    delete c;
-  }
+  delete c;
 }
 
 void CuckooGraph::TransformToChain(VertexEntry* e) {
@@ -491,9 +441,6 @@ void CuckooGraph::ChainInsert(internal::Chain* c, Neighbor n) {
     if (config_.enable_deny_list &&
         c->denylist.size() < static_cast<size_t>(config_.denylist_limit)) {
       c->denylist.push_back(n);
-      c->reader_deny_count.store(
-          static_cast<uint32_t>(c->denylist.size()),
-          std::memory_order_release);
       ++c->size;
       ++denylist_parks_;
       return;
@@ -515,9 +462,6 @@ bool CuckooGraph::ChainErase(internal::Chain* c, NodeId v) {
     if (c->denylist[i].v == v) {
       c->denylist[i] = c->denylist.back();
       c->denylist.pop_back();
-      c->reader_deny_count.store(
-          static_cast<uint32_t>(c->denylist.size()),
-          std::memory_order_release);
       --c->size;
       return true;
     }
@@ -532,7 +476,6 @@ void CuckooGraph::GrowChain(internal::Chain* c) {
     const size_t half =
         std::max<size_t>(1, c->tables.front().num_buckets() / 2);
     c->tables.emplace_back(half, config_.cells_per_bucket);
-    PublishChainMirror(c);
     ++s_stats_.expansions;
     return;
   }
@@ -582,18 +525,8 @@ void CuckooGraph::RebuildChain(internal::Chain* c, size_t head_buckets,
       }
     }
     if (ok) {
-      // Commit. Retire each old table's storage first so its block rides
-      // the limbo list (the mirror may still point at it until the
-      // refresh below); the vector replacement itself is then safe
-      // because readers only ever go through the mirror. The denylist is
-      // refreshed in place to keep data() stable.
-      for (auto& t : c->tables) t.RetireStorage(reclaimer_);
       c->tables = std::move(tables);
-      c->denylist.assign(deny.begin(), deny.end());
-      c->reader_deny_count.store(
-          static_cast<uint32_t>(c->denylist.size()),
-          std::memory_order_release);
-      PublishChainMirror(c);
+      c->denylist = std::move(deny);
       s_stats_.rehash_moves += items.size();
       return;
     }
@@ -642,136 +575,6 @@ size_t CuckooGraph::ChainMemory(const internal::Chain& c) const {
   for (const auto& t : c.tables) bytes += t.MemoryBytes();
   bytes += c.denylist.capacity() * sizeof(Neighbor);
   return bytes;
-}
-
-// ---- Optimistic (lock-free) read path --------------------------------------
-//
-// Everything below runs WITHOUT the owning shard's lock, racing the
-// serialized writer. The discipline, in order:
-//   1. probe crash-safely (fixed bounds from pinned Blocks / the atomic
-//      mirror; no pointer copied out of racing storage is dereferenced),
-//   2. validate the shard's sequence word (SeqValidator) — a pass proves
-//      no writer ran since the snapshot, so copied data is committed,
-//   3. only then trust the copy; re-validate after any further probing
-//      through pointers the copy contained (kept alive by the caller's
-//      epoch pin even if a writer starts after step 2).
-// The functions are excluded from TSan instrumentation because the
-// benign read-then-discard race on cell contents is the entire point;
-// see common/thread_annotations.h.
-
-void CuckooGraph::PublishChainMirror(internal::Chain* c) {
-  const size_t n = c->tables.size();
-  if (n > internal::Chain::kMirrorTables) {
-    c->reader_num_tables.store(internal::Chain::kMirrorOverflow,
-                               std::memory_order_release);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    c->reader_tables[i].store(c->tables[i].reader_block(),
-                              std::memory_order_release);
-  }
-  c->reader_num_tables.store(static_cast<uint32_t>(n),
-                             std::memory_order_release);
-}
-
-CUCKOOGRAPH_NO_SANITIZE_THREAD
-bool CuckooGraph::OptimisticFindVertex(NodeId u, VertexEntry* out) const {
-  const auto* block = l_.reader_block();
-  if (block == nullptr) return false;
-  const size_t slot =
-      internal::CuckooTable<VertexEntry>::FindSlotIn(*block, u, h1_, h2_);
-  if (slot != internal::kNoSlot) {
-    *out = block->cells[slot];
-    return true;
-  }
-  // The denylist scan is bounded by the published count, never the
-  // vector's own (unsynchronized) size; both stay within the capacity
-  // reserved at construction.
-  const uint32_t count =
-      std::min(reader_l_deny_count_.load(std::memory_order_acquire),
-               static_cast<uint32_t>(config_.denylist_limit));
-  const VertexEntry* deny = l_denylist_.data();
-  for (uint32_t i = 0; i < count; ++i) {
-    if (deny[i].key == u) {
-      *out = deny[i];
-      return true;
-    }
-  }
-  return false;
-}
-
-CUCKOOGRAPH_NO_SANITIZE_THREAD
-bool CuckooGraph::OptimisticChainFind(const internal::Chain* c, NodeId v,
-                                      bool* found,
-                                      uint32_t* weight) const {
-  const uint32_t n = c->reader_num_tables.load(std::memory_order_acquire);
-  if (n > internal::Chain::kMirrorTables) return false;  // mirror overflow
-  for (uint32_t i = 0; i < n; ++i) {
-    const auto* block =
-        c->reader_tables[i].load(std::memory_order_acquire);
-    if (block == nullptr) return false;
-    const size_t slot =
-        internal::CuckooTable<Neighbor>::FindSlotIn(*block, v, h1_, h2_);
-    if (slot != internal::kNoSlot) {
-      *found = true;
-      *weight = block->cells[slot].weight;
-      return true;
-    }
-  }
-  const uint32_t count =
-      std::min(c->reader_deny_count.load(std::memory_order_acquire),
-               static_cast<uint32_t>(config_.denylist_limit));
-  const Neighbor* deny = c->denylist.data();
-  for (uint32_t i = 0; i < count; ++i) {
-    if (deny[i].v == v) {
-      *found = true;
-      *weight = deny[i].weight;
-      return true;
-    }
-  }
-  *found = false;
-  return true;
-}
-
-CUCKOOGRAPH_NO_SANITIZE_THREAD
-bool CuckooGraph::TryQueryEdge(NodeId u, NodeId v,
-                               const internal::SeqValidator& sv,
-                               bool* present) const {
-  VertexEntry entry;
-  const bool vertex_found = OptimisticFindVertex(u, &entry);
-  // Validate BEFORE trusting the copy: a pass proves `entry` (including
-  // its degree and, crucially, its chain pointer) is committed state.
-  if (!sv.Valid()) return false;
-  if (!vertex_found) {
-    *present = false;  // validated miss: the vertex really was absent
-    return true;
-  }
-  if (!entry.has_chain) {
-    // The inline slots travelled inside the validated copy; this probe
-    // touches only local memory.
-    *present =
-        internal::MatchKeyMask(entry.inline_.v, entry.degree, v) != 0;
-    return true;
-  }
-  // entry.chain is a committed pointer and the epoch pin keeps the chain
-  // alive, but its *contents* may be mutated after validation — so the
-  // chain probe's outcome needs a second validation.
-  bool found = false;
-  uint32_t weight = 0;
-  if (!OptimisticChainFind(entry.chain, v, &found, &weight)) return false;
-  if (!sv.Valid()) return false;
-  *present = found;
-  return true;
-}
-
-CUCKOOGRAPH_NO_SANITIZE_THREAD
-bool CuckooGraph::TryOutDegree(NodeId u, const internal::SeqValidator& sv,
-                               size_t* degree) const {
-  VertexEntry entry;
-  const bool vertex_found = OptimisticFindVertex(u, &entry);
-  if (!sv.Valid()) return false;
-  *degree = vertex_found ? entry.degree : 0;
-  return true;
 }
 
 }  // namespace cuckoograph

@@ -9,7 +9,6 @@
 #ifndef CUCKOOGRAPH_CORE_CUCKOO_GRAPH_H_
 #define CUCKOOGRAPH_CORE_CUCKOO_GRAPH_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -22,7 +21,6 @@
 #include "core/config.h"
 #include "core/graph_store.h"
 #include "core/internal/cuckoo_table.h"
-#include "core/internal/epoch.h"
 
 namespace cuckoograph {
 
@@ -98,28 +96,6 @@ class CuckooGraph : public GraphStore {
   // Bucket counts of each table in `u`'s S-CHT chain, head first; empty if
   // `u` has no chain (absent or still inline). Backs the Table II bench.
   std::vector<size_t> SChainLengths(NodeId u) const;
-
-  // ---- Optimistic-read hooks (ShardedCuckooGraph's lock-free path) ---------
-  // The graph itself stays single-writer; these only make its storage
-  // safe to *probe* while the (lock-serialized) writer runs elsewhere.
-  // The caller owns the seqlock that detects torn reads (SeqValidator)
-  // and the epoch pin that keeps retired allocations alive; the methods
-  // below own crash-safety: they never dereference a pointer that was
-  // copied out of racing storage without validating it first.
-
-  // Routes reader-reachable frees (replaced bucket blocks, whole retired
-  // chains) through `r` instead of freeing inline. Must be set before
-  // the first optimistic reader can run; nullptr (the default) frees
-  // immediately, which is correct for single-threaded use.
-  void set_reclaimer(internal::Reclaimer* r) { reclaimer_ = r; }
-
-  // Each returns true and sets *out when the probe validated cleanly
-  // against `sv`; false means a writer interfered (or the chain mirror
-  // was unusable) and the caller must retry or take its locked path.
-  bool TryQueryEdge(NodeId u, NodeId v, const internal::SeqValidator& sv,
-                    bool* present) const;
-  bool TryOutDegree(NodeId u, const internal::SeqValidator& sv,
-                    size_t* degree) const;
 
  protected:
   // Weighted-variant hooks (see WeightedCuckooGraph). Inserts the edge
@@ -199,30 +175,12 @@ class CuckooGraph : public GraphStore {
   void MaybeReverseTransform(VertexEntry* e);
   void FreeChain(internal::Chain* c);
 
-  // Lock-free probe primitives behind TryQueryEdge/TryOutDegree. The
-  // vertex probe copies the entry out (to be validated by the caller
-  // before anything in it is trusted); the chain probe walks the chain's
-  // atomic reader mirror, returning false when the mirror is unusable
-  // (more tables than mirror slots).
-  bool OptimisticFindVertex(NodeId u, VertexEntry* out) const;
-  bool OptimisticChainFind(const internal::Chain* c, NodeId v, bool* found,
-                           uint32_t* weight) const;
-  // Refreshes a chain's reader mirror after any structural change
-  // (table added, tables rebuilt). Cheap: a few release stores.
-  void PublishChainMirror(internal::Chain* c);
-
   Config config_;
   BobHash h1_;
   BobHash h2_;
   SplitMix64 rng_;
   internal::CuckooTable<VertexEntry> l_;
-  // Reserved to denylist_limit at construction and only ever mutated in
-  // place (push/pop/assign within capacity), so data() is stable and an
-  // optimistic reader may scan the first reader_l_deny_count_ entries
-  // without touching the vector's own (unsynchronized) bookkeeping.
   std::vector<VertexEntry> l_denylist_;
-  std::atomic<uint32_t> reader_l_deny_count_{0};
-  internal::Reclaimer* reclaimer_ = nullptr;
   size_t num_edges_ = 0;
   TableStats l_stats_;
   TableStats s_stats_;

@@ -17,23 +17,17 @@
 // verified against the full key, so a probe costs one vector compare plus
 // (almost always) at most one key comparison.
 //
-// Storage layout for optimistic readers: the cells and fingerprints live
-// behind a single heap-allocated, self-describing Block whose geometry is
-// immutable after construction — only cell *contents* mutate in place.
-// A table's Block pointer changes solely when a rebuild swaps in a fresh
-// table (AdoptFrom) or a chain replacement retires it (RetireStorage), so
-// a lock-free reader that acquires the pointer once (reader_block) always
-// sees a (geometry, arrays) pair that is consistent by construction, and
-// the replaced Block is handed to an epoch Reclaimer instead of being
-// freed under the reader (see internal/epoch.h). Torn cell contents are
-// the seqlock's problem: the reader validates its shard sequence before
-// trusting anything it copied out of a Block.
+// Storage: the cells and fingerprints live behind one heap-allocated,
+// self-describing Block whose geometry is fixed at construction; only
+// cell contents mutate in place. A rebuild builds a fresh table and
+// move-assigns it over the old one. The table is not thread-safe: its
+// owner serializes every access (ShardedCuckooGraph's stripe locks).
 #ifndef CUCKOOGRAPH_CORE_INTERNAL_CUCKOO_TABLE_H_
 #define CUCKOOGRAPH_CORE_INTERNAL_CUCKOO_TABLE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -41,7 +35,6 @@
 #include "common/rng.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
-#include "core/internal/epoch.h"
 #include "core/internal/simd_probe.h"
 
 namespace cuckoograph::internal {
@@ -79,94 +72,31 @@ class CuckooTable {
   };
 
   CuckooTable(size_t num_buckets, int cells_per_bucket)
-      : block_(new Block(num_buckets,
-                         static_cast<size_t>(cells_per_bucket))) {}
+      : block_(std::make_unique<Block>(
+            num_buckets, static_cast<size_t>(cells_per_bucket))) {}
 
-  ~CuckooTable() { delete block_.load(std::memory_order_relaxed); }
+  CuckooTable(CuckooTable&&) noexcept = default;
+  CuckooTable& operator=(CuckooTable&&) noexcept = default;
 
-  CuckooTable(const CuckooTable&) = delete;
-  CuckooTable& operator=(const CuckooTable&) = delete;
-
-  CuckooTable(CuckooTable&& other) noexcept
-      : block_(other.block_.exchange(nullptr, std::memory_order_relaxed)),
-        size_(other.size_) {
-    other.size_ = 0;
-  }
-
-  CuckooTable& operator=(CuckooTable&& other) noexcept {
-    if (this != &other) {
-      delete block_.load(std::memory_order_relaxed);
-      block_.store(other.block_.exchange(nullptr,
-                                         std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-      size_ = other.size_;
-      other.size_ = 0;
-    }
-    return *this;
-  }
-
-  size_t num_buckets() const { return b()->num_buckets; }
-  size_t num_cells() const { return b()->num_cells(); }
+  size_t num_buckets() const { return block_->num_buckets; }
+  size_t num_cells() const { return block_->num_cells(); }
   size_t size() const { return size_; }
-  bool full() const { return size_ == b()->num_cells(); }
+  bool full() const { return size_ == block_->num_cells(); }
 
-  Item& cell(size_t slot) { return b()->cells[slot]; }
-  const Item& cell(size_t slot) const { return b()->cells[slot]; }
-  bool used(size_t slot) const { return b()->fps[slot] != 0; }
+  Item& cell(size_t slot) { return block_->cells[slot]; }
+  const Item& cell(size_t slot) const { return block_->cells[slot]; }
+  bool used(size_t slot) const { return block_->fps[slot] != 0; }
 
-  // ---- Optimistic-reader hooks ---------------------------------------------
-
-  // Acquire-pins the current storage block: pairs with the release in
-  // AdoptFrom, so a reader that sees a fresh block also sees its fully
-  // constructed contents. May return null only for a moved-from /
-  // retired table (readers null-check and bail to their fallback).
-  const Block* reader_block() const {
-    return block_.load(std::memory_order_acquire);
-  }
-
-  // FindSlot against one pinned block. Static so an optimistic reader
-  // re-reads nothing through the table object mid-probe; bounds come
-  // from the block itself, so the probe is crash-safe even while cell
-  // contents are being torn by a concurrent writer (the caller's
-  // sequence validation rejects any value read under such a race).
-  CUCKOOGRAPH_NO_SANITIZE_THREAD
-  static size_t FindSlotIn(const Block& block, NodeId key,
-                           const BobHash& h1, const BobHash& h2) {
+  // Returns the slot holding `key`, or kNoSlot.
+  size_t FindSlot(NodeId key, const BobHash& h1, const BobHash& h2) const {
+    const Block& block = *block_;
     const uint8_t fp = KeyFingerprint(key);
     const size_t b1 = BucketIn(block, h1, key);
-    size_t slot = MatchInBucket(block, b1, fp, key);
+    const size_t slot = MatchInBucket(block, b1, fp, key);
     if (slot != kNoSlot) return slot;
     const size_t b2 = BucketIn(block, h2, key);
     if (b2 == b1) return kNoSlot;
     return MatchInBucket(block, b2, fp, key);
-  }
-
-  // Swaps in `fresh`'s storage (rebuild commit), retiring the old block
-  // through `reclaimer` — or deleting it immediately when no optimistic
-  // reader can exist (reclaimer == nullptr).
-  void AdoptFrom(CuckooTable&& fresh, Reclaimer* reclaimer) {
-    Block* old = block_.load(std::memory_order_relaxed);
-    block_.store(
-        fresh.block_.exchange(nullptr, std::memory_order_relaxed),
-        std::memory_order_release);
-    size_ = fresh.size_;
-    fresh.size_ = 0;
-    Dispose(old, reclaimer);
-  }
-
-  // Hands this table's block to the reclaimer and leaves the table
-  // empty (moved-from); used when a chain replaces its table list.
-  void RetireStorage(Reclaimer* reclaimer) {
-    Block* old = block_.exchange(nullptr, std::memory_order_relaxed);
-    size_ = 0;
-    Dispose(old, reclaimer);
-  }
-
-  // ---- Writer-side operations ----------------------------------------------
-
-  // Returns the slot holding `key`, or kNoSlot.
-  size_t FindSlot(NodeId key, const BobHash& h1, const BobHash& h2) const {
-    return FindSlotIn(*b(), key, h1, h2);
   }
 
   // Places *item, evicting at most max_kicks victims. On success returns
@@ -174,7 +104,7 @@ class CuckooTable {
   // (see the header comment). *kicks is incremented per eviction.
   bool Place(Item* item, const BobHash& h1, const BobHash& h2, int max_kicks,
              SplitMix64* rng, uint64_t* kicks) {
-    Block& block = *b();
+    Block& block = *block_;
     if (full()) return false;
     for (int attempt = 0; attempt <= max_kicks; ++attempt) {
       const NodeId key = item->CuckooKey();
@@ -200,20 +130,20 @@ class CuckooTable {
   }
 
   void Erase(size_t slot) {
-    b()->fps[slot] = 0;
+    block_->fps[slot] = 0;
     --size_;
   }
 
   template <typename Fn>
   void ForEach(Fn fn) const {
-    const Block& block = *b();
+    const Block& block = *block_;
     for (size_t s = 0; s < block.cells.size(); ++s) {
       if (block.fps[s] != 0) fn(block.cells[s]);
     }
   }
 
   size_t MemoryBytes() const {
-    const Block& block = *b();
+    const Block& block = *block_;
     return sizeof(Block) + block.cells.capacity() * sizeof(Item) +
            block.fps.capacity() * sizeof(uint8_t);
   }
@@ -227,7 +157,6 @@ class CuckooTable {
   }
 
   // Fingerprint-probes bucket `b`, verifying candidates against the key.
-  CUCKOOGRAPH_NO_SANITIZE_THREAD
   static size_t MatchInBucket(const Block& block, size_t b, uint8_t fp,
                               NodeId key) {
     uint64_t mask =
@@ -252,21 +181,7 @@ class CuckooTable {
     return kNoSlot;
   }
 
-  static void Dispose(Block* old, Reclaimer* reclaimer) {
-    if (old == nullptr) return;
-    if (reclaimer != nullptr) {
-      reclaimer->Retire([old] { delete old; });
-    } else {
-      delete old;
-    }
-  }
-
-  // Writer-side view of the storage pointer. Writers are serialized by
-  // the owner's lock, so relaxed is enough; the release that publishes
-  // a fresh block to readers lives in AdoptFrom.
-  Block* b() const { return block_.load(std::memory_order_relaxed); }
-
-  std::atomic<Block*> block_;
+  std::unique_ptr<Block> block_;
   size_t size_ = 0;
 };
 

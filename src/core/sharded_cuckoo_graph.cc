@@ -38,8 +38,7 @@ void AddTableStats(TableStats* into, const TableStats& from) {
 
 }  // namespace
 
-ShardedCuckooGraph::ShardedCuckooGraph(const Config& config)
-    : optimistic_reads_(config.optimistic_reads) {
+ShardedCuckooGraph::ShardedCuckooGraph(const Config& config) {
   const size_t count = std::max<size_t>(1, config.num_shards);
   shards_.reserve(count);
   for (size_t s = 0; s < count; ++s) {
@@ -50,32 +49,15 @@ ShardedCuckooGraph::ShardedCuckooGraph(const Config& config)
 ShardedCuckooGraph::~ShardedCuckooGraph() = default;
 
 // ---- Scalar edge ops: one shard, one lock ----------------------------------
-// Mutations additionally bump the shard's seqlock word (BeginWrite /
-// EndWrite) so in-flight optimistic readers notice them. Reads try the
-// lock-free path first and fall back to the shared lock.
 
 bool ShardedCuckooGraph::InsertEdge(NodeId u, NodeId v) {
   Shard& shard = *shards_[ShardIndex(u)];
   WriterMutexLock lock(&shard.mu);
-  shard.BeginWrite();
-  const bool fresh = shard.graph.InsertEdge(u, v);
-  shard.EndWrite();
-  return fresh;
+  return shard.graph.InsertEdge(u, v);
 }
 
 bool ShardedCuckooGraph::QueryEdge(NodeId u, NodeId v) const {
   const Shard& shard = *shards_[ShardIndex(u)];
-  if (optimistic_reads_) {
-    bool present = false;
-    if (TryOptimisticRead(shard, [&](const CuckooGraph& g,
-                                     const internal::SeqValidator& sv) {
-          return g.TryQueryEdge(u, v, sv, &present);
-        })) {
-      shard.optimistic_reads_served.fetch_add(1,
-                                              std::memory_order_relaxed);
-      return present;
-    }
-  }
   shard.locked_reads_served.fetch_add(1, std::memory_order_relaxed);
   ReaderMutexLock lock(&shard.mu);
   return shard.graph.QueryEdge(u, v);
@@ -84,28 +66,11 @@ bool ShardedCuckooGraph::QueryEdge(NodeId u, NodeId v) const {
 bool ShardedCuckooGraph::DeleteEdge(NodeId u, NodeId v) {
   Shard& shard = *shards_[ShardIndex(u)];
   WriterMutexLock lock(&shard.mu);
-  shard.BeginWrite();
-  const bool removed = shard.graph.DeleteEdge(u, v);
-  shard.EndWrite();
-  return removed;
+  return shard.graph.DeleteEdge(u, v);
 }
 
 uint64_t ShardedCuckooGraph::EdgeWeight(NodeId u, NodeId v) const {
-  // The per-shard CuckooGraph stores presence-weighted edges (weight 1
-  // through this interface), so the optimistic probe can reuse the
-  // presence result; the locked fallback resolves identically.
   const Shard& shard = *shards_[ShardIndex(u)];
-  if (optimistic_reads_) {
-    bool present = false;
-    if (TryOptimisticRead(shard, [&](const CuckooGraph& g,
-                                     const internal::SeqValidator& sv) {
-          return g.TryQueryEdge(u, v, sv, &present);
-        })) {
-      shard.optimistic_reads_served.fetch_add(1,
-                                              std::memory_order_relaxed);
-      return present ? 1 : 0;
-    }
-  }
   shard.locked_reads_served.fetch_add(1, std::memory_order_relaxed);
   ReaderMutexLock lock(&shard.mu);
   return shard.graph.EdgeWeight(u, v);
@@ -113,17 +78,6 @@ uint64_t ShardedCuckooGraph::EdgeWeight(NodeId u, NodeId v) const {
 
 size_t ShardedCuckooGraph::OutDegree(NodeId u) const {
   const Shard& shard = *shards_[ShardIndex(u)];
-  if (optimistic_reads_) {
-    size_t degree = 0;
-    if (TryOptimisticRead(shard, [&](const CuckooGraph& g,
-                                     const internal::SeqValidator& sv) {
-          return g.TryOutDegree(u, sv, &degree);
-        })) {
-      shard.optimistic_reads_served.fetch_add(1,
-                                              std::memory_order_relaxed);
-      return degree;
-    }
-  }
   shard.locked_reads_served.fetch_add(1, std::memory_order_relaxed);
   ReaderMutexLock lock(&shard.mu);
   return shard.graph.OutDegree(u);
@@ -166,51 +120,15 @@ size_t ShardedCuckooGraph::InsertEdges(Span<const Edge> edges) {
   GroupByShard(edges, [this, &fresh](size_t s, Span<const Edge> part) {
     Shard& shard = *shards_[s];
     WriterMutexLock lock(&shard.mu);
-    shard.BeginWrite();
     fresh += InsertSlice(shard, part);
-    shard.EndWrite();
   });
   return fresh;
-}
-
-bool ShardedCuckooGraph::TryOptimisticQuerySlice(const Shard& shard,
-                                                 Span<const Edge> part,
-                                                 size_t* present) {
-  internal::EpochGuard guard(&shard.epochs);
-  if (!guard.pinned()) return false;
-  size_t hits = 0;
-  for (const Edge& e : part) {
-    bool resolved = false;
-    bool edge_present = false;
-    for (int attempt = 0; attempt < kOptimisticRetries; ++attempt) {
-      const uint64_t s1 = shard.seq.load(std::memory_order_acquire);
-      if ((s1 & 1) != 0) continue;  // writer inside; retry
-      const internal::SeqValidator sv{&shard.seq, s1};
-      if (shard.graph.TryQueryEdge(e.u, e.v, sv, &edge_present)) {
-        resolved = true;
-        break;
-      }
-    }
-    if (!resolved) return false;  // caller redoes the slice under lock
-    if (edge_present) ++hits;
-  }
-  *present = hits;
-  return true;
 }
 
 size_t ShardedCuckooGraph::QueryEdges(Span<const Edge> edges) const {
   size_t present = 0;
   GroupByShard(edges, [this, &present](size_t s, Span<const Edge> part) {
     const Shard& shard = *shards_[s];
-    if (optimistic_reads_) {
-      size_t slice_hits = 0;
-      if (TryOptimisticQuerySlice(shard, part, &slice_hits)) {
-        present += slice_hits;
-        shard.optimistic_reads_served.fetch_add(
-            part.size(), std::memory_order_relaxed);
-        return;
-      }
-    }
     shard.locked_reads_served.fetch_add(part.size(),
                                         std::memory_order_relaxed);
     ReaderMutexLock lock(&shard.mu);
@@ -224,9 +142,7 @@ size_t ShardedCuckooGraph::DeleteEdges(Span<const Edge> edges) {
   GroupByShard(edges, [this, &removed](size_t s, Span<const Edge> part) {
     Shard& shard = *shards_[s];
     WriterMutexLock lock(&shard.mu);
-    shard.BeginWrite();
     removed += DeleteSlice(shard, part);
-    shard.EndWrite();
   });
   return removed;
 }
@@ -303,8 +219,6 @@ ShardedCuckooGraph::ReadPathStats ShardedCuckooGraph::read_path_stats()
     const {
   ReadPathStats total;
   for (const auto& entry : shards_) {
-    total.optimistic += entry->optimistic_reads_served.load(
-        std::memory_order_relaxed);
     total.locked +=
         entry->locked_reads_served.load(std::memory_order_relaxed);
   }

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -16,6 +17,22 @@ namespace cuckoograph::server {
 namespace {
 
 constexpr size_t kReadChunk = 16 * 1024;
+
+// A connect() that a signal interrupts keeps going in the kernel, and
+// calling it again fails with EALREADY. Waits for that connect to finish
+// and returns its outcome as an errno value (0 on success).
+int FinishInterruptedConnect(int fd) {
+  pollfd pfd{};
+  pfd.fd = fd;
+  pfd.events = POLLOUT;
+  while (::poll(&pfd, 1, -1) < 0) {
+    if (errno != EINTR) return errno;
+  }
+  int error = 0;
+  socklen_t len = sizeof(error);
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error, &len) < 0) return errno;
+  return error;
+}
 
 }  // namespace
 
@@ -60,7 +77,8 @@ bool RespClient::Connect(const std::string& host, uint16_t port,
     return fail("invalid address '" + host + "'");
   }
   if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    return fail(std::string("connect: ") + ErrnoString(errno));
+    const int err = errno == EINTR ? FinishInterruptedConnect(fd_) : errno;
+    if (err != 0) return fail(std::string("connect: ") + ErrnoString(err));
   }
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));

@@ -3,16 +3,22 @@
 // disjoint and overlapping key ranges, with the final state checked
 // against a single-threaded oracle. (The full GraphStore v2 contract is
 // covered scheme-parameterized in graph_store_conformance_test.cc; this
-// file covers what a single-threaded harness cannot.) CI additionally
-// runs this binary under ThreadSanitizer.
+// file covers what a single-threaded harness cannot.) The
+// ShardedConcurrencyTest suite at the end races locked readers against
+// writers that force every structural mutation. CI additionally runs
+// this binary under ThreadSanitizer.
 #include <atomic>
+#include <cstddef>
 #include <map>
+#include <numeric>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/span.h"
 #include "common/types.h"
+#include "core/config.h"
 #include "core/sharded_cuckoo_graph.h"
 #include "gtest/gtest.h"
 
@@ -330,6 +336,183 @@ TEST(ShardedCuckooGraphTest, ConcurrentReadersSeeConsistentState) {
   stop.store(true);
   for (std::thread& th : readers) th.join();
   EXPECT_FALSE(failed.load());
+}
+
+// ---- Readers racing structural churn ---------------------------------------
+//
+// Writers force every structural mutation of a shard's CuckooGraph —
+// TRANSFORMATION (inline slots promoted to an S-CHT chain), chain growth
+// and merge rebuilds, L-CHT doubling and shrinking, and
+// reverse-TRANSFORMATION (chains collapsing back to inline slots under
+// deletions) — while readers probe under the stripe lock. Each test
+// keeps a set of sentinel edges that are never mutated, so a racing
+// reader has an exact oracle for every probe no matter how the writer
+// interleaves.
+
+// Small tables + few shards: structural churn (rebuilds, growth) happens
+// constantly and per-shard writer/reader collisions are frequent.
+Config StressConfig() {
+  Config config;
+  config.num_shards = 2;
+  config.l_initial_buckets = 1;
+  config.s_initial_buckets = 1;
+  return config;
+}
+
+constexpr NodeId kHubs = 8;            // sentinel sources 0..kHubs-1
+constexpr NodeId kSentinelV = 0;       // (h, 0) is inserted once, never touched
+constexpr NodeId kAbsentV = 1u << 20;  // never inserted anywhere
+
+void InsertSentinels(ShardedCuckooGraph* graph) {
+  for (NodeId h = 0; h < kHubs; ++h) {
+    ASSERT_TRUE(graph->InsertEdge(h, kSentinelV));
+  }
+}
+
+// A reader thread: probes sentinel-present and known-absent edges (plus
+// degree and weight) until told to stop, checking every answer against
+// the invariants the writer preserves. Always runs at least one full
+// pass (a fast writer may finish before this thread is scheduled).
+// Returns how many reads ran.
+size_t ReaderLoop(const ShardedCuckooGraph& graph,
+                  const std::atomic<bool>& stop) {
+  size_t probes = 0;
+  std::vector<Edge> batch;
+  do {
+    for (NodeId h = 0; h < kHubs; ++h) {
+      EXPECT_TRUE(graph.QueryEdge(h, kSentinelV));
+      EXPECT_FALSE(graph.QueryEdge(h, kAbsentV));
+      EXPECT_EQ(graph.EdgeWeight(h, kSentinelV), 1u);
+      EXPECT_GE(graph.OutDegree(h), 1u);  // the sentinel never leaves
+      probes += 4;
+    }
+    // Batch path: kHubs pinned-present + kHubs never-present edges must
+    // count exactly kHubs regardless of writer interleaving.
+    batch.clear();
+    for (NodeId h = 0; h < kHubs; ++h) {
+      batch.push_back(Edge{h, kSentinelV});
+      batch.push_back(Edge{h, kAbsentV});
+    }
+    EXPECT_EQ(graph.QueryEdges(Span<const Edge>(batch.data(),
+                                                batch.size())),
+              static_cast<size_t>(kHubs));
+    probes += batch.size();
+  } while (!stop.load(std::memory_order_acquire));
+  return probes;
+}
+
+// Writer A: drives each hub's degree up past the inline threshold and
+// far enough to append and merge chain tables (TRANSFORMATION + Table II
+// growth), then back down to the sentinel alone (reverse-TRANSFORMATION
+// and chain shrink), over and over.
+void TransformChurnWriter(ShardedCuckooGraph* graph, int rounds,
+                          NodeId fan) {
+  for (int r = 0; r < rounds; ++r) {
+    for (NodeId h = 0; h < kHubs; ++h) {
+      for (NodeId v = 1; v <= fan; ++v) graph->InsertEdge(h, v);
+    }
+    for (NodeId h = 0; h < kHubs; ++h) {
+      for (NodeId v = 1; v <= fan; ++v) graph->DeleteEdge(h, v);
+    }
+  }
+}
+
+// Writer B: floods fresh source vertices to force L-CHT doubling
+// rebuilds, then removes them all so the shrink path rebuilds smaller.
+void LTableChurnWriter(ShardedCuckooGraph* graph, int rounds,
+                       NodeId vertices) {
+  const NodeId base = 1u << 16;  // disjoint from hub sources
+  for (int r = 0; r < rounds; ++r) {
+    for (NodeId u = 0; u < vertices; ++u) {
+      graph->InsertEdge(base + u, 1);
+    }
+    for (NodeId u = 0; u < vertices; ++u) {
+      graph->DeleteEdge(base + u, 1);
+    }
+  }
+}
+
+TEST(ShardedConcurrencyTest, ReadersRaceTransformationStorm) {
+  ShardedCuckooGraph graph(StressConfig());
+  InsertSentinels(&graph);
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  std::vector<size_t> probes(4, 0);
+  for (size_t t = 0; t < probes.size(); ++t) {
+    readers.emplace_back([&graph, &stop, &probes, t] {
+      probes[t] = ReaderLoop(graph, stop);
+    });
+  }
+  // Fan of 64 per hub: crosses the inline threshold (TRANSFORMATION),
+  // appends chain tables, and triggers merge-and-double rebuilds.
+  TransformChurnWriter(&graph, /*rounds=*/40, /*fan=*/64);
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  for (size_t p : probes) EXPECT_GT(p, 0u);
+  // Every read was served, and counted, under the stripe lock.
+  const auto rp = graph.read_path_stats();
+  EXPECT_EQ(rp.optimistic, 0u);
+  EXPECT_EQ(rp.locked, std::accumulate(probes.begin(), probes.end(),
+                                       size_t{0}));
+  // Quiesced end state: only the sentinels remain.
+  EXPECT_EQ(graph.NumEdges(), static_cast<size_t>(kHubs));
+  for (NodeId h = 0; h < kHubs; ++h) {
+    EXPECT_EQ(graph.OutDegree(h), 1u);
+  }
+}
+
+TEST(ShardedConcurrencyTest, ReadersRaceReverseTransformationDeletes) {
+  ShardedCuckooGraph graph(StressConfig());
+  InsertSentinels(&graph);
+  // Start every hub above the inline threshold so the writer's first
+  // act is deletion pressure that collapses chains back to inline.
+  for (NodeId h = 0; h < kHubs; ++h) {
+    for (NodeId v = 1; v <= 32; ++v) ASSERT_TRUE(graph.InsertEdge(h, v));
+  }
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  std::vector<size_t> probes(4, 0);
+  for (size_t t = 0; t < probes.size(); ++t) {
+    readers.emplace_back([&graph, &stop, &probes, t] {
+      probes[t] = ReaderLoop(graph, stop);
+    });
+  }
+  for (int r = 0; r < 60; ++r) {
+    for (NodeId h = 0; h < kHubs; ++h) {
+      for (NodeId v = 1; v <= 32; ++v) graph.DeleteEdge(h, v);
+    }
+    for (NodeId h = 0; h < kHubs; ++h) {
+      for (NodeId v = 1; v <= 32; ++v) graph.InsertEdge(h, v);
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  for (size_t p : probes) EXPECT_GT(p, 0u);
+  EXPECT_EQ(graph.NumEdges(), static_cast<size_t>(kHubs) * 33);
+}
+
+TEST(ShardedConcurrencyTest, ReadersRaceLTableRebuilds) {
+  ShardedCuckooGraph graph(StressConfig());
+  InsertSentinels(&graph);
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  std::vector<size_t> probes(4, 0);
+  for (size_t t = 0; t < probes.size(); ++t) {
+    readers.emplace_back([&graph, &stop, &probes, t] {
+      probes[t] = ReaderLoop(graph, stop);
+    });
+  }
+  LTableChurnWriter(&graph, /*rounds=*/30, /*vertices=*/512);
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  for (size_t p : probes) EXPECT_GT(p, 0u);
+  EXPECT_EQ(graph.NumEdges(), static_cast<size_t>(kHubs));
 }
 
 }  // namespace

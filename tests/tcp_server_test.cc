@@ -296,6 +296,24 @@ TEST_F(TcpRespServerTest, SignalStormDoesNotDisruptService) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
   });
+  // Stops and joins the storm on every early way out: a failed ASSERT or
+  // a thrown client error leaves the test body, and destroying a joinable
+  // std::thread would call std::terminate.
+  class StormJoiner {
+   public:
+    StormJoiner(std::atomic<bool>* storming, std::thread* storm)
+        : storming_(storming), storm_(storm) {}
+    ~StormJoiner() {
+      storming_->store(false, std::memory_order_relaxed);
+      if (storm_->joinable()) storm_->join();
+    }
+    StormJoiner(const StormJoiner&) = delete;
+    StormJoiner& operator=(const StormJoiner&) = delete;
+
+   private:
+    std::atomic<bool>* storming_;
+    std::thread* storm_;
+  } joiner(&storming, &storm);
 
   RespClient client = Connect();
   for (uint32_t v = 0; v < 400; ++v) {
