@@ -3,18 +3,20 @@
 // arrival stream into an empty structure).
 //
 // With --durable-dir <dir> a second table prices durability: the same
-// insert stream through a WAL-backed cuckoo-durable store under each
-// wal_sync_mode, next to the in-memory CuckooGraph baseline. Each cell
-// runs in its own subdirectory of <dir> and cleans up after itself.
+// insert stream through a DurableStore over CuckooGraph under each
+// WalSyncMode, next to the in-memory CuckooGraph baseline. Each cell
+// runs in its own subdirectory of <dir> and removes it once the store
+// has closed.
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "baselines/store_factory.h"
 #include "bench_util.h"
 #include "common/flags.h"
-#include "core/config.h"
 #include "datasets/datasets.h"
 #include "persist/durable_store.h"
+#include "persist/file_io.h"
 
 namespace {
 
@@ -31,7 +33,7 @@ constexpr DurableColumn kDurableColumns[] = {
     {"wal:always", WalSyncMode::kAlways},
 };
 
-void RunDurableTable(const std::string& durable_dir, double user_scale) {
+bool RunDurableTable(const std::string& durable_dir, double user_scale) {
   std::vector<std::string> columns{"in-memory"};
   for (const DurableColumn& col : kDurableColumns) {
     columns.push_back(col.label);
@@ -50,18 +52,26 @@ void RunDurableTable(const std::string& durable_dir, double user_scale) {
       row.push_back(bench::FmtMops(result.insert_mops));
     }
     for (const DurableColumn& col : kDurableColumns) {
-      Config config;
-      config.wal_sync_mode = col.mode;
-      persist::DurableOptions opts = persist::MakeDurableOptions(
-          config, durable_dir + "/fig6-" + dataset_name + "-" + col.label);
-      opts.owns_dir = true;  // each cell starts empty and cleans up
-      auto store = MakeDurableStoreByName("cuckoo-durable", opts);
+      persist::DurableOptions opts;
+      opts.dir = durable_dir + "/fig6-" + dataset_name + "-" + col.label;
+      opts.sync_mode = col.mode;
+      persist::RemoveDirTree(opts.dir);  // each cell starts empty
+      std::string error;
+      auto store = persist::DurableStore::Open(
+          MakeStoreByName("CuckooGraph"), "cuckoo-durable", opts, &error);
+      if (store == nullptr) {
+        std::fprintf(stderr, "FAIL: durable open: %s\n", error.c_str());
+        return false;
+      }
       const bench::BasicTaskResult result =
           bench::RunBasicTasks(*store, dataset, bench::BasicPhase::kInsert);
       row.push_back(bench::FmtMops(result.insert_mops));
+      store.reset();
+      persist::RemoveDirTree(opts.dir);
     }
     bench::PrintRow("fig6-durable", row);
   }
+  return true;
 }
 
 }  // namespace
@@ -87,8 +97,9 @@ int main(int argc, char** argv) {
   }
 
   const std::string durable_dir = flags.GetString("durable-dir", "");
-  if (!durable_dir.empty()) RunDurableTable(durable_dir, user_scale);
+  const bool ok =
+      durable_dir.empty() || RunDurableTable(durable_dir, user_scale);
 
   bench::CloseCsv();
-  return 0;
+  return ok ? 0 : 1;
 }

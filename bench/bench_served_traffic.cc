@@ -1,4 +1,4 @@
-// Served traffic: the over-socket successor to Figure 17. A real epoll
+// Served traffic: Figure 17's loopback server under real load. An epoll
 // TCP RESP server hosts the CG.* command family over the sharded store,
 // and a multi-threaded client load generator (one thread per TCP
 // connection, one private Zipf-skewed key range each) drives pipelined
@@ -14,11 +14,11 @@
 // runs every row at 1 worker when workers > 1), --pipeline (requests in
 // flight per connection, default 16), --alpha (Zipf skew, default 1.5),
 // --reads (mixed-phase read fraction, default 0.5), --csv <path>,
-// --durable-dir <dir> (adds one row per wal_sync_mode served out of the
-// WAL-backed cuckoo-sharded-durable store, plus a durability-stats
-// line; each row uses its own subdirectory of <dir> and cleans up).
-// CSV schema matches bench_fig17_redis (same phase columns), so the
-// in-process and served numbers diff directly.
+// --durable-dir <dir> (adds one row per WalSyncMode served out of a
+// DurableStore over the sharded store, plus a durability-stats line;
+// each row uses its own subdirectory of <dir> and removes it after the
+// store closes). CSV schema matches bench_fig17_redis (same phase
+// columns), so the single-client and pipelined numbers diff directly.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -28,9 +28,9 @@
 #include <unordered_set>
 #include <vector>
 
-#include "baselines/store_factory.h"
 #include "bench_util.h"
 #include "persist/durable_store.h"
+#include "persist/file_io.h"
 #include "common/flags.h"
 #include "common/timer.h"
 #include "common/types.h"
@@ -140,11 +140,11 @@ struct RowResult {
   std::string durable_note;  // stats line for durable rows, else empty
 };
 
-// When `durable` is non-null the served store is the WAL-backed
-// cuckoo-sharded-durable decorator opened in durable->dir, and the row
-// ends with a one-line durability-stats print (records / syncs / group
-// commits), so the sync amortization under pipelined socket load is
-// visible next to the throughput number.
+// When `durable` is non-null the served store is a DurableStore over the
+// sharded store, opened in durable->dir, and the row ends with a
+// one-line durability-stats print (records / syncs / group commits), so
+// the sync amortization under pipelined socket load is visible next to
+// the throughput number.
 RowResult RunRow(int connections, int workers, const LoadConfig& load,
                  const persist::DurableOptions* durable = nullptr) {
   Config config;
@@ -152,11 +152,12 @@ RowResult RunRow(int connections, int workers, const LoadConfig& load,
   std::unique_ptr<persist::DurableStore> durable_store;
   GraphStore* store = &mem_store;
   if (durable != nullptr) {
-    try {
-      durable_store = MakeDurableStoreByName("cuckoo-sharded-durable",
-                                             *durable);
-    } catch (const std::exception& ex) {
-      std::fprintf(stderr, "FAIL: durable open: %s\n", ex.what());
+    std::string error;
+    durable_store = persist::DurableStore::Open(
+        std::make_unique<ShardedCuckooGraph>(config),
+        "cuckoo-sharded-durable", *durable, &error);
+    if (durable_store == nullptr) {
+      std::fprintf(stderr, "FAIL: durable open: %s\n", error.c_str());
       RowResult failed;
       failed.ok = false;
       return failed;
@@ -313,7 +314,7 @@ int main(int argc, char** argv) {
     }
   }
   // Durable rows: the same pipelined load served out of the WAL-backed
-  // sharded store, one row per wal_sync_mode, at the sweep ceiling.
+  // sharded store, one row per WalSyncMode, at the sweep ceiling.
   const std::string durable_dir = flags.GetString("durable-dir", "");
   if (!durable_dir.empty()) {
     struct { const char* label; WalSyncMode mode; } kModes[] = {
@@ -326,13 +327,13 @@ int main(int argc, char** argv) {
     load.ops_per_conn =
         std::max<size_t>(250, total_ops / static_cast<size_t>(max_connections));
     for (const auto& m : kModes) {
-      Config durable_config;
-      durable_config.wal_sync_mode = m.mode;
-      persist::DurableOptions opts = persist::MakeDurableOptions(
-          durable_config, durable_dir + "/served-" + m.label);
-      opts.owns_dir = true;  // each row starts empty and cleans up
+      persist::DurableOptions opts;
+      opts.dir = durable_dir + "/served-" + m.label;
+      opts.sync_mode = m.mode;
+      persist::RemoveDirTree(opts.dir);  // each row starts empty
       const RowResult r =
           RunRow(max_connections, std::max(1, max_workers), load, &opts);
+      persist::RemoveDirTree(opts.dir);  // the store closed inside RunRow
       bench::PrintRow(
           "served",
           {std::to_string(max_connections) + "c/" +
@@ -346,7 +347,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("(diff against bench_fig17_redis --csv: same columns, same "
-              "Zipf mix, minus the kernel socket)\n");
+              "Zipf mix, one unpipelined client)\n");
   bench::CloseCsv();
   if (!ok) {
     std::fprintf(stderr, "served-traffic: oracle check FAILED\n");

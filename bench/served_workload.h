@@ -1,8 +1,9 @@
-// Shared workload generation for the two Redis-protocol benches, so the
-// in-process bench_fig17_redis and the over-socket bench_served_traffic
-// emit the same CSV schema (Insertion / Query / Deletion / Mixed(zipf)
-// columns) and their numbers diff directly: same Zipf shapes, same
-// oracle-checked reply protocol, different transport.
+// Shared workload generation for the two Redis-protocol benches, so
+// bench_fig17_redis (one unpipelined client) and bench_served_traffic
+// (pipelined, many connections) emit the same CSV schema (Insertion /
+// Query / Deletion / Mixed(zipf) columns) and their numbers diff
+// directly: same Zipf shapes, same oracle-checked reply protocol, same
+// loopback TCP server, different client load.
 #ifndef CUCKOOGRAPH_BENCH_SERVED_WORKLOAD_H_
 #define CUCKOOGRAPH_BENCH_SERVED_WORKLOAD_H_
 

@@ -57,44 +57,6 @@ KernelResult RunDijkstra(const CsrSnapshot& graph,
   return ToResult(graph, dist);
 }
 
-KernelResult RunDeltaSequential(const CsrSnapshot& graph,
-                                Span<const NodeId> sources, uint64_t delta) {
-  std::vector<uint64_t> dist(graph.num_nodes(), kInfinite);
-  std::vector<std::vector<DenseId>> buckets;
-  const auto push = [&buckets, delta](DenseId v, uint64_t d) {
-    const size_t idx = static_cast<size_t>(d / delta);
-    if (idx >= buckets.size()) buckets.resize(idx + 1);
-    buckets[idx].push_back(v);
-  };
-
-  for (const DenseId s : ResolveSources(graph, sources)) {
-    dist[s] = 0;
-    push(s, 0);
-  }
-
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    // Relaxations may refill bucket i while it is being drained.
-    while (!buckets[i].empty()) {
-      std::vector<DenseId> batch;
-      batch.swap(buckets[i]);
-      for (const DenseId u : batch) {
-        const uint64_t d = dist[u];
-        if (d / delta != i) continue;  // settled into an earlier bucket
-        const Span<const DenseId> neighbors = graph.Neighbors(u);
-        for (size_t slot = 0; slot < neighbors.size(); ++slot) {
-          const DenseId v = neighbors[slot];
-          const uint64_t candidate = d + WeightOf(graph, u, slot);
-          if (candidate < dist[v]) {
-            dist[v] = candidate;
-            push(v, candidate);
-          }
-        }
-      }
-    }
-  }
-  return ToResult(graph, dist);
-}
-
 // Frontier-parallel delta-stepping. Each bucket batch is relaxed by the
 // kernel lanes: a CAS-min loop settles dist[v] (relaxed order — the
 // ParallelFor barrier publishes cross-batch, and the CAS itself arbitrates
@@ -178,16 +140,6 @@ KernelResult Run(const CsrSnapshot& graph, Span<const NodeId> sources,
   if (opts.num_threads <= 1) return RunDijkstra(graph, sources);
   return RunDeltaParallel(graph, sources, opts.delta == 0 ? 1 : opts.delta,
                           opts);
-}
-
-KernelResult RunDeltaStepping(const CsrSnapshot& graph,
-                              Span<const NodeId> sources, uint64_t delta,
-                              const KernelOptions& opts) {
-  if (delta == 0) delta = 1;
-  if (opts.num_threads <= 1) {
-    return RunDeltaSequential(graph, sources, delta);
-  }
-  return RunDeltaParallel(graph, sources, delta, opts);
 }
 
 }  // namespace cuckoograph::analytics::sssp

@@ -9,39 +9,10 @@
 #include "core/cuckoo_graph.h"
 #include "core/sharded_cuckoo_graph.h"
 #include "core/weighted_cuckoo_graph.h"
-#include "persist/durable_store.h"
-#include "persist/file_io.h"
 
 namespace cuckoograph {
 
 namespace {
-
-// Durable scheme -> wrapped scheme. The durable entries are decorators
-// (persist/durable_store.h), not stores of their own.
-const char* InnerSchemeFor(const std::string& durable_name) {
-  if (durable_name == "cuckoo-durable") return "CuckooGraph";
-  if (durable_name == "cuckoo-sharded-durable") return "cuckoo-sharded";
-  return nullptr;
-}
-
-// Registry instantiation of a durable scheme: an owned mkdtemp dir
-// (removed with the store) and no per-op fdatasync.
-std::unique_ptr<GraphStore> MakeTempDirDurable(const std::string& name) {
-  std::string error;
-  persist::DurableOptions opts;
-  opts.dir = persist::MakeTempDir("cuckoograph-" + name + "-", &error);
-  if (opts.dir.empty()) {
-    throw std::runtime_error("scheme '" + name + "': " + error);
-  }
-  opts.owns_dir = true;
-  opts.sync_mode = WalSyncMode::kNone;
-  auto store = persist::DurableStore::Open(
-      MakeStoreByName(InnerSchemeFor(name)), name, opts, &error);
-  if (store == nullptr) {
-    throw std::runtime_error("scheme '" + name + "': " + error);
-  }
-  return store;
-}
 
 struct Registry {
   std::vector<std::pair<std::string, StoreFactory>> entries;
@@ -86,18 +57,6 @@ void EnsureBuiltins() {
     // default geometry); the only built-in advertising thread-safe ops.
     AddEntry("cuckoo-sharded",
              [] { return std::make_unique<ShardedCuckooGraph>(); });
-    // WAL+snapshot decorators over the single-threaded and sharded
-    // structures. Registry instances live in an owned temp dir with
-    // syncs off, so the comparison benches measure the logging cost
-    // without every cell paying an fdatasync; the durability benches
-    // and crash tests open their own instances with explicit dirs and
-    // sync modes through MakeDurableStoreByName.
-    AddEntry("cuckoo-durable", [] {
-      return MakeTempDirDurable("cuckoo-durable");
-    });
-    AddEntry("cuckoo-sharded-durable", [] {
-      return MakeTempDirDurable("cuckoo-sharded-durable");
-    });
     return true;
   }();
   (void)done;
@@ -142,24 +101,6 @@ std::vector<std::string> AllSchemeNames() {
 std::unique_ptr<GraphStore> MakeStoreByName(const std::string& name) {
   EnsureBuiltins();
   return FindEntry(name)();
-}
-
-std::unique_ptr<persist::DurableStore> MakeDurableStoreByName(
-    const std::string& name, const persist::DurableOptions& opts) {
-  EnsureBuiltins();
-  const char* inner = InnerSchemeFor(name);
-  if (inner == nullptr) {
-    throw std::invalid_argument(
-        "unknown durable scheme '" + name +
-        "'; valid durable schemes: cuckoo-durable, cuckoo-sharded-durable");
-  }
-  std::string error;
-  auto store =
-      persist::DurableStore::Open(MakeStoreByName(inner), name, opts, &error);
-  if (store == nullptr) {
-    throw std::runtime_error("open durable scheme '" + name + "': " + error);
-  }
-  return store;
 }
 
 std::vector<std::string> ParseSchemesFlag(const std::string& csv) {

@@ -4,8 +4,9 @@
 //
 // The factory registers the built-in schemes itself (CuckooGraph plus the
 // three baseline stand-ins in the paper's column order, then the weighted
-// "cuckoo-weighted" extended store); out-of-tree schemes self-register by
-// defining a static StoreRegistrar in their translation unit:
+// "cuckoo-weighted" and the concurrent "cuckoo-sharded" extended stores);
+// out-of-tree schemes self-register by defining a static StoreRegistrar
+// in their translation unit:
 //
 //   static const StoreRegistrar kReg("MyStore", [] {
 //     return std::make_unique<MyStore>();
@@ -13,6 +14,12 @@
 //
 // The registry is not synchronized: register from static initializers or
 // from startup code before any concurrent use, exactly like the built-ins.
+//
+// Every scheme is an in-memory structure. Durability is a decorator, not
+// a scheme: wrap any store with persist::DurableStore::Open, e.g.
+//
+//   DurableStore::Open(MakeStoreByName("CuckooGraph"), "cuckoo-durable",
+//                      opts, &error);
 #ifndef CUCKOOGRAPH_BASELINES_STORE_FACTORY_H_
 #define CUCKOOGRAPH_BASELINES_STORE_FACTORY_H_
 
@@ -22,7 +29,6 @@
 #include <vector>
 
 #include "core/graph_store.h"
-#include "persist/durable_store.h"
 
 namespace cuckoograph {
 
@@ -38,17 +44,6 @@ std::vector<std::string> AllSchemeNames();
 // Instantiates the named scheme. Throws std::invalid_argument with a
 // message listing every valid scheme when the name is unknown.
 std::unique_ptr<GraphStore> MakeStoreByName(const std::string& name);
-
-// Opens the named durable scheme ("cuckoo-durable" or
-// "cuckoo-sharded-durable") over caller-chosen DurableOptions — an
-// explicit directory, sync mode, checkpoint cadence, fault-injection
-// factory. This is how the durability benches and crash tests get a
-// recoverable instance; the registry's own entries of the same names
-// use an ephemeral owned temp dir with syncs off instead. Throws
-// std::invalid_argument for a non-durable name, std::runtime_error when
-// the directory cannot be opened/recovered.
-std::unique_ptr<persist::DurableStore> MakeDurableStoreByName(
-    const std::string& name, const persist::DurableOptions& opts);
 
 // Parses a comma-separated scheme list (the benches' --schemes flag),
 // validating each entry through the same unknown-name path as

@@ -7,25 +7,6 @@
 
 namespace cuckoograph {
 
-// When the durability wrapper (persist/durable_store.h) acknowledges a
-// mutation relative to the WAL fdatasync covering it.
-enum class WalSyncMode {
-  // Every append syncs inline before returning: no acknowledged write is
-  // ever lost, every op pays a device flush (~120us on this class of
-  // hardware).
-  kAlways,
-  // Group commit: a dedicated thread coalesces every append that arrived
-  // while the previous fdatasync ran into one covering sync, and the
-  // append returns once that sync lands. Same no-acked-loss guarantee as
-  // kAlways; concurrent writers share the flush cost.
-  kGroup,
-  // Appends return after the buffered write; syncs happen only at
-  // checkpoints and clean close. A crash can lose the unsynced tail —
-  // recovery still comes back prefix-consistent, just to an older
-  // prefix. The Redis appendfsync-no analogue.
-  kNone,
-};
-
 struct Config {
   // Initial bucket count of the top-level L-CHT. 1 grows the table from
   // its minimum length (the Theorem 1/2 setting); larger values skip the
@@ -53,11 +34,8 @@ struct Config {
   // appending.
   int max_chain_tables = 3;
 
-  // Denylist capacity per table set. Beyond this, growth is forced.
-  int denylist_limit = 8;
-
-  // Ablation: store up to 2R neighbours inline in the vertex cell before
-  // TRANSFORMATION allocates an S-CHT chain (DESIGN.md Part 2).
+  // Ablation: store up to CuckooGraph::kInlineSlots neighbours inline in
+  // the vertex cell before TRANSFORMATION allocates an S-CHT chain.
   bool enable_inline_slots = true;
 
   // Ablation: shrink chains (and collapse them back to inline slots) as
@@ -75,16 +53,6 @@ struct Config {
   // this; docs/PERFORMANCE.md covers selection (2-4x the writer thread
   // count is a good default).
   size_t num_shards = 16;
-
-  // Durability wrapper (persist/durable_store.h) knobs; ignored by the
-  // in-memory stores themselves. The sync mode trades acknowledged-write
-  // loss against flush cost (see WalSyncMode above).
-  WalSyncMode wal_sync_mode = WalSyncMode::kGroup;
-
-  // Checkpoint cadence: after this many WAL records the wrapper dumps a
-  // snapshot and truncates the log, bounding replay work at recovery.
-  // 0 disables automatic checkpoints (explicit Checkpoint() still works).
-  size_t wal_checkpoint_records = 65536;
 };
 
 }  // namespace cuckoograph

@@ -37,7 +37,6 @@ Config Normalize(Config config) {
                     std::max(1, config.cells_per_bucket));
   config.max_kicks = std::max(1, config.max_kicks);
   config.max_chain_tables = std::max(1, config.max_chain_tables);
-  config.denylist_limit = std::max(0, config.denylist_limit);
   config.expand_threshold =
       std::min(0.95, std::max(0.1, config.expand_threshold));
   return config;
@@ -318,8 +317,7 @@ void CuckooGraph::PlaceVertex(VertexEntry entry) {
                  &l_stats_.kicks)) {
       return;
     }
-    if (config_.enable_deny_list &&
-        l_denylist_.size() < static_cast<size_t>(config_.denylist_limit)) {
+    if (config_.enable_deny_list && l_denylist_.size() < kDenylistLimit) {
       l_denylist_.push_back(entry);
       ++denylist_parks_;
       return;
@@ -346,8 +344,7 @@ void CuckooGraph::RebuildL(size_t new_buckets) {
                       &l_stats_.kicks)) {
         continue;
       }
-      if (config_.enable_deny_list &&
-          deny.size() < static_cast<size_t>(config_.denylist_limit)) {
+      if (config_.enable_deny_list && deny.size() < kDenylistLimit) {
         deny.push_back(moved);
       } else {
         ok = false;
@@ -438,8 +435,7 @@ void CuckooGraph::ChainInsert(internal::Chain* c, Neighbor n) {
         return;
       }
     }
-    if (config_.enable_deny_list &&
-        c->denylist.size() < static_cast<size_t>(config_.denylist_limit)) {
+    if (config_.enable_deny_list && c->denylist.size() < kDenylistLimit) {
       c->denylist.push_back(n);
       ++c->size;
       ++denylist_parks_;
@@ -516,8 +512,7 @@ void CuckooGraph::RebuildChain(internal::Chain* c, size_t head_buckets,
         }
       }
       if (placed) continue;
-      if (config_.enable_deny_list &&
-          deny.size() < static_cast<size_t>(config_.denylist_limit)) {
+      if (config_.enable_deny_list && deny.size() < kDenylistLimit) {
         deny.push_back(moved);
       } else {
         ok = false;

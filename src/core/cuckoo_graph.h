@@ -1,11 +1,11 @@
 // CuckooGraph (ICDE'25): a fully-dynamic graph store built from cuckoo
 // hash tables. The top-level L-CHT maps each vertex to its adjacency; a
-// vertex's first 2R neighbours live inline in its L-CHT cell, and the
-// TRANSFORMATION mechanism promotes the adjacency into a chain of up to R
-// nested cuckoo tables (the S-CHTs) as the degree grows, following the
-// Table II length sequence. Kick-out failures park in per-table-set
-// DENYLISTs so growth stays load-driven, and the reverse transformation
-// tightens the structure again under deletions.
+// vertex's first kInlineSlots (6) neighbours live inline in its L-CHT
+// cell, and the TRANSFORMATION mechanism promotes the adjacency into a
+// chain of up to R nested cuckoo tables (the S-CHTs) as the degree
+// grows, following the Table II length sequence. Kick-out failures park
+// in per-table-set DENYLISTs so growth stays load-driven, and the
+// reverse transformation tightens the structure again under deletions.
 #ifndef CUCKOOGRAPH_CORE_CUCKOO_GRAPH_H_
 #define CUCKOOGRAPH_CORE_CUCKOO_GRAPH_H_
 
@@ -58,9 +58,14 @@ struct GraphStats {
 
 class CuckooGraph : public GraphStore {
  public:
-  // Neighbours stored inline in a vertex cell before TRANSFORMATION (2R
-  // with the paper's R = 3).
+  // Neighbours stored inline in a vertex cell before TRANSFORMATION. The
+  // paper's 2R at its R = 3, fixed for any Config::max_chain_tables.
   static constexpr int kInlineSlots = 6;
+
+  // Items a table set may park in its denylist before growth is forced.
+  // Small by design: the denylist is scanned linearly on every probe of
+  // that table set. Figure 5 is the ablation (Config::enable_deny_list).
+  static constexpr size_t kDenylistLimit = 8;
 
   CuckooGraph() : CuckooGraph(Config()) {}
   explicit CuckooGraph(const Config& config);

@@ -67,9 +67,9 @@ struct StoreCapabilities {
   // quiesced for as long as the cursor is drained, whatever the scheme.
   bool concurrent_mutations = false;
   // Mutations survive a process crash: the store logs them to a WAL
-  // before applying and recovers snapshot + log on reopen (the
-  // persist/durable_store.h wrapper). Benches consult this to report
-  // ingest overhead rows only for schemes that actually pay it.
+  // before applying and recovers snapshot + log on reopen. Only the
+  // persist/durable_store.h decorator sets it (over any wrapped scheme);
+  // no registry scheme is durable.
   bool durable = false;
 };
 

@@ -101,10 +101,7 @@ DurableStore::DurableStore(std::unique_ptr<GraphStore> inner,
       name_(std::move(display_name)),
       opts_(std::move(opts)) {}
 
-DurableStore::~DurableStore() {
-  wal_.Close();
-  if (opts_.owns_dir) RemoveDirTree(opts_.dir);
-}
+DurableStore::~DurableStore() { wal_.Close(); }
 
 StoreCapabilities DurableStore::Capabilities() const {
   StoreCapabilities caps = inner_->Capabilities();

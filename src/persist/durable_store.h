@@ -31,7 +31,6 @@
 #include "common/mutex.h"
 #include "common/span.h"
 #include "common/types.h"
-#include "core/config.h"
 #include "core/graph_store.h"
 #include "persist/file_io.h"
 #include "persist/snapshot.h"
@@ -52,23 +51,7 @@ struct DurableOptions {
 
   // Fault-injection seam; null uses the POSIX files.
   WritableFileFactory file_factory;
-
-  // The wrapper created `dir` for itself (the factory's temp-dir
-  // instances) and removes the whole tree in its destructor.
-  bool owns_dir = false;
 };
-
-// Maps the Config durability knobs (wal_sync_mode,
-// wal_checkpoint_records) onto DurableOptions for `dir` — the standard
-// way to open a durable store that should honor a tuned Config.
-inline DurableOptions MakeDurableOptions(const Config& config,
-                                         std::string dir) {
-  DurableOptions opts;
-  opts.dir = std::move(dir);
-  opts.sync_mode = config.wal_sync_mode;
-  opts.checkpoint_every_records = config.wal_checkpoint_records;
-  return opts;
-}
 
 // What Open() found on disk — surfaced through durable_stats() so tests
 // and the benches can assert on the recovery path taken.
@@ -94,15 +77,16 @@ class DurableStore final : public GraphStore {
  public:
   // Opens the durability directory, recovers any existing state into
   // `inner`, and starts logging. Null with *error on failure (`inner`
-  // is consumed either way). `display_name` is what name() reports —
-  // the factory passes its scheme name ("cuckoo-durable", ...).
+  // is consumed either way). `display_name` is what name() reports,
+  // e.g. "cuckoo-durable" over CuckooGraph. This is the one way to get
+  // a durable store: the registry holds in-memory schemes only.
   static std::unique_ptr<DurableStore> Open(std::unique_ptr<GraphStore> inner,
                                             std::string display_name,
                                             const DurableOptions& opts,
                                             std::string* error);
 
-  // Closes the WAL (final covering sync) and, when opts.owns_dir,
-  // removes the directory tree.
+  // Closes the WAL (final covering sync). The directory stays; callers
+  // that want it gone call RemoveDirTree (persist/file_io.h) afterwards.
   ~DurableStore() override;
 
   std::string_view name() const override { return name_; }

@@ -90,8 +90,9 @@ std::vector<std::string> ListDir(const std::string& path);
 // with *error on failure.
 std::string MakeTempDir(const std::string& prefix, std::string* error);
 
-// Unlinks every regular entry in `path`, then rmdirs it (the owned
-// temp-dir cleanup of factory-made durable stores). Best effort.
+// Unlinks every entry in `path` (recursing into subdirectories), then
+// rmdirs it: how callers remove a DurableStore's directory once the
+// store has closed. Best effort.
 void RemoveDirTree(const std::string& path);
 
 }  // namespace cuckoograph::persist

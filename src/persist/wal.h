@@ -35,8 +35,31 @@
 
 #include "common/span.h"
 #include "common/types.h"
-#include "core/config.h"
 #include "persist/file_io.h"
+
+namespace cuckoograph {
+
+// When DurableStore (persist/durable_store.h) acknowledges a mutation
+// relative to the WAL fdatasync covering it. Set per store through
+// DurableOptions::sync_mode.
+enum class WalSyncMode {
+  // Every append syncs inline before returning: no acknowledged write is
+  // ever lost, every op pays a device flush (~120us on this class of
+  // hardware).
+  kAlways,
+  // Group commit: a dedicated thread coalesces every append that arrived
+  // while the previous fdatasync ran into one covering sync, and the
+  // append returns once that sync lands. Same no-acked-loss guarantee as
+  // kAlways; concurrent writers share the flush cost.
+  kGroup,
+  // Appends return after the buffered write; syncs happen only at
+  // checkpoints and clean close. A crash can lose the unsynced tail —
+  // recovery still comes back prefix-consistent, just to an older
+  // prefix. The Redis appendfsync-no analogue.
+  kNone,
+};
+
+}  // namespace cuckoograph
 
 namespace cuckoograph::persist {
 

@@ -1,6 +1,8 @@
-// The transport-agnostic core of the Redis-protocol front door, carved
-// out of RedisServerSim so the in-process simulation and the real TCP
-// server (src/server/) share exactly one dispatch / protocol code path:
+// The transport-agnostic core of the Redis-protocol front door. It is
+// the in-process entry point (an embedding owns a CommandTable and one
+// RespConnection and feeds it bytes), and the TCP server (src/server/)
+// runs the same pair per socket, so both transports share exactly one
+// dispatch / protocol code path:
 //
 //  - CommandTable: command registration (case-insensitive name, Redis
 //    arity semantics) and request dispatch. One table serves every
@@ -91,11 +93,15 @@ class RespConnection {
   explicit RespConnection(const CommandTable* table) : table_(table) {}
 
   // Feeds request bytes, appending the reply bytes for every completed
-  // request to *out. Returns false when the bytes contained a protocol
-  // error: the error reply has been appended, the rest of the buffered
-  // input is discarded, and a real transport should close after
-  // flushing (Redis drops the connection; the in-process sim just keeps
-  // feeding — the next Feed starts clean either way).
+  // request to *out. Returns false exactly when the bytes contained a
+  // protocol error: the error reply has been appended, the rest of the
+  // buffered input is discarded (buffered_bytes() is 0), and a socket
+  // transport should close after flushing, as Redis does. An in-process
+  // caller may keep feeding; the next Feed starts clean.
+  //
+  // An inline request line, or a multibulk/bulk length header, that
+  // passes kMaxInlineLen bytes without its terminator is a protocol
+  // error (resp.h), so no unterminated line grows the buffer unbounded.
   bool Feed(std::string_view bytes, std::string* out);
 
   struct Stats {

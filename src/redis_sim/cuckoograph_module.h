@@ -17,39 +17,19 @@
 #ifndef CUCKOOGRAPH_REDIS_SIM_CUCKOOGRAPH_MODULE_H_
 #define CUCKOOGRAPH_REDIS_SIM_CUCKOOGRAPH_MODULE_H_
 
-#include "core/cuckoo_graph.h"
 #include "core/graph_store.h"
 #include "redis_sim/command_table.h"
-#include "redis_sim/module_host.h"
 
 namespace cuckoograph::redis_sim {
 
 // Registers the CG.* command family over any GraphStore (`store` must
-// outlive the table's use of the handlers). With a store advertising
-// Capabilities().concurrent_mutations (e.g. cuckoo-sharded) the edge-op
-// handlers are safe to dispatch from several server workers at once;
+// outlive the table's use of the handlers). A single-worker server or an
+// in-process RespConnection can serve a plain CuckooGraph. With a store
+// advertising Capabilities().concurrent_mutations (e.g. cuckoo-sharded)
+// the edge-op handlers are safe to dispatch from several server workers;
 // CG.NEIGHBORS drains a cursor and follows the store-wide quiescence
 // rule, so concurrent deployments should treat it as an offline command.
 void RegisterGraphCommands(CommandTable* table, GraphStore* store);
-
-// The self-contained module: owns a single-threaded CuckooGraph and
-// registers it. For the sim and the single-worker server; multi-worker
-// servers register a concurrent store via RegisterGraphCommands.
-class CuckooGraphModule {
- public:
-  // Registers the CG.* command family on `table`. The module must
-  // outlive the table's use of the handlers (they capture the graph).
-  void Register(CommandTable* table) { RegisterGraphCommands(table, &graph_); }
-
-  // Convenience for the in-process sim wrapper.
-  void Register(RedisServerSim* server) { Register(server->command_table()); }
-
-  // The module's graph, e.g. for state checks in tests.
-  const CuckooGraph& graph() const { return graph_; }
-
- private:
-  CuckooGraph graph_;
-};
 
 }  // namespace cuckoograph::redis_sim
 

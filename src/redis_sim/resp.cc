@@ -45,12 +45,28 @@ ParseResult ProtocolError(std::string message) {
   return result;
 }
 
-// Parses one value starting at `pos`; on kOk, `*end` is one past the
-// value's last byte. `array_limit` caps array lengths (-1 = uncapped):
-// the request path passes kMaxMultibulkLen, the reply path no cap, since
-// Redis's multibulk limit applies only to what clients send.
-ParseResult ParseAt(std::string_view bytes, size_t pos, size_t* end,
-                    long long array_limit);
+// Frames the `len`-byte bulk payload whose length header ends at the
+// CRLF at `crlf`: kOk with *end one past the payload's own CRLF,
+// kIncomplete while bytes are missing, kError when the payload is not
+// CRLF-terminated.
+ParseStatus FrameBulkPayload(std::string_view bytes, size_t crlf, size_t len,
+                             size_t* end) {
+  const size_t payload = crlf + 2;
+  if (payload + len + 2 > bytes.size()) return ParseStatus::kIncomplete;
+  if (bytes[payload + len] != '\r' || bytes[payload + len + 1] != '\n') {
+    return ParseStatus::kError;
+  }
+  *end = payload + len + 2;
+  return ParseStatus::kOk;
+}
+
+constexpr const char kBulkNotTerminated[] =
+    "Protocol error: bulk string not CRLF-terminated";
+
+// Parses one reply value starting at `pos`; on kOk, `*end` is one past
+// the value's last byte. Arrays are uncapped: Redis's multibulk limit
+// applies only to what clients send (ParseCommand).
+ParseResult ParseAt(std::string_view bytes, size_t pos, size_t* end);
 
 ParseResult ParseLinePayload(std::string_view bytes, size_t pos, size_t* end,
                              RespType type) {
@@ -94,27 +110,20 @@ ParseResult ParseBulk(std::string_view bytes, size_t pos, size_t* end) {
     *end = crlf + 2;
     return result;
   }
-  const size_t payload = crlf + 2;
   const size_t body = static_cast<size_t>(len);  // len >= 0 checked above
-  if (payload + body + 2 > bytes.size()) {
-    return ParseResult{};
-  }
-  if (bytes[payload + body] != '\r' || bytes[payload + body + 1] != '\n') {
-    return ProtocolError("Protocol error: bulk string not CRLF-terminated");
-  }
+  const ParseStatus framed = FrameBulkPayload(bytes, crlf, body, end);
+  if (framed == ParseStatus::kIncomplete) return ParseResult{};
+  if (framed == ParseStatus::kError) return ProtocolError(kBulkNotTerminated);
   result.status = ParseStatus::kOk;
-  result.value = RespValue::Bulk(std::string(bytes.substr(payload, body)));
-  *end = payload + body + 2;
+  result.value = RespValue::Bulk(std::string(bytes.substr(crlf + 2, body)));
   return result;
 }
 
-ParseResult ParseArray(std::string_view bytes, size_t pos, size_t* end,
-                       long long array_limit) {
+ParseResult ParseArray(std::string_view bytes, size_t pos, size_t* end) {
   const size_t crlf = FindCrlf(bytes, pos);
   if (crlf == std::string_view::npos) return ParseResult{};
   long long len = 0;
-  if (!ParseDecimal(bytes, pos, crlf, &len) || len < -1 ||
-      (array_limit >= 0 && len > array_limit)) {
+  if (!ParseDecimal(bytes, pos, crlf, &len) || len < -1) {
     return ProtocolError("Protocol error: invalid multibulk length");
   }
   ParseResult result;
@@ -131,7 +140,7 @@ ParseResult ParseArray(std::string_view bytes, size_t pos, size_t* end,
   size_t cursor = crlf + 2;
   for (long long i = 0; i < len; ++i) {
     size_t next = 0;
-    ParseResult element = ParseAt(bytes, cursor, &next, array_limit);
+    ParseResult element = ParseAt(bytes, cursor, &next);
     if (element.status != ParseStatus::kOk) return element;
     elements.push_back(std::move(element.value));
     cursor = next;
@@ -142,8 +151,7 @@ ParseResult ParseArray(std::string_view bytes, size_t pos, size_t* end,
   return result;
 }
 
-ParseResult ParseAt(std::string_view bytes, size_t pos, size_t* end,
-                    long long array_limit) {
+ParseResult ParseAt(std::string_view bytes, size_t pos, size_t* end) {
   if (pos >= bytes.size()) return ParseResult{};
   switch (bytes[pos]) {
     case '+':
@@ -155,7 +163,7 @@ ParseResult ParseAt(std::string_view bytes, size_t pos, size_t* end,
     case '$':
       return ParseBulk(bytes, pos + 1, end);
     case '*':
-      return ParseArray(bytes, pos + 1, end, array_limit);
+      return ParseArray(bytes, pos + 1, end);
     default:
       return ProtocolError(std::string("Protocol error: unknown type byte '") +
                            bytes[pos] + "'");
@@ -263,7 +271,7 @@ std::string EncodeCommand(const std::vector<std::string>& argv) {
 
 ParseResult ParseValue(std::string_view bytes) {
   size_t end = 0;
-  ParseResult result = ParseAt(bytes, 0, &end, /*array_limit=*/-1);
+  ParseResult result = ParseAt(bytes, 0, &end);
   if (result.status == ParseStatus::kOk) result.consumed = end;
   return result;
 }
@@ -277,9 +285,26 @@ CommandParse CommandError(std::string message) {
   return result;
 }
 
+// Locates the CRLF ending the request header line that starts at `pos`:
+// the index of its '\r', or npos while the line may still end. The
+// search covers at most kMaxInlineLen line bytes plus the CRLF; once
+// that many bytes have arrived with no terminator, *too_long is set.
+size_t FindRequestCrlf(std::string_view bytes, size_t pos, bool* too_long) {
+  const std::string_view window = bytes.substr(pos, kMaxInlineLen + 2);
+  const size_t crlf = window.find("\r\n");
+  if (crlf != std::string_view::npos) return pos + crlf;
+  *too_long = window.size() == kMaxInlineLen + 2;
+  return std::string_view::npos;
+}
+
 CommandParse ParseInlineCommand(std::string_view bytes) {
-  const size_t lf = bytes.find('\n');
-  if (lf == std::string_view::npos) return CommandParse{};
+  const size_t lf = bytes.substr(0, kMaxInlineLen + 1).find('\n');
+  if (lf == std::string_view::npos) {
+    if (bytes.size() > kMaxInlineLen) {
+      return CommandError("Protocol error: too big inline request");
+    }
+    return CommandParse{};
+  }
   size_t line_end = lf;
   if (line_end > 0 && bytes[line_end - 1] == '\r') --line_end;
   CommandParse result;
@@ -297,33 +322,62 @@ CommandParse ParseInlineCommand(std::string_view bytes) {
   return result;
 }
 
+// A multibulk request: "*<count>\r\n" then <count> bulk strings, parsed
+// the way Redis's processMultibulkBuffer does — each element must start
+// with '$', checked as soon as its first byte arrives.
+CommandParse ParseMultibulkCommand(std::string_view bytes) {
+  bool too_long = false;
+  const size_t count_end = FindRequestCrlf(bytes, 1, &too_long);
+  if (too_long) {
+    return CommandError("Protocol error: too big mbulk count string");
+  }
+  if (count_end == std::string_view::npos) return CommandParse{};
+  long long count = 0;
+  // *-1 (the null array) is a reply form, not a request.
+  if (!ParseDecimal(bytes, 1, count_end, &count) || count < 0 ||
+      count > kMaxMultibulkLen) {
+    return CommandError("Protocol error: invalid multibulk length");
+  }
+  CommandParse result;
+  // Clamp the reserve: a header claiming a huge count must not allocate
+  // before its (missing) elements arrive.
+  result.argv.reserve(static_cast<size_t>(std::min(count, 1024LL)));
+  size_t cursor = count_end + 2;
+  for (long long i = 0; i < count; ++i) {
+    if (cursor >= bytes.size()) return CommandParse{};
+    if (bytes[cursor] != '$') {
+      return CommandError(std::string("Protocol error: expected '$', got '") +
+                          bytes[cursor] + "'");
+    }
+    const size_t len_end = FindRequestCrlf(bytes, cursor + 1, &too_long);
+    if (too_long) {
+      return CommandError("Protocol error: too big bulk count string");
+    }
+    if (len_end == std::string_view::npos) return CommandParse{};
+    long long len = 0;
+    if (!ParseDecimal(bytes, cursor + 1, len_end, &len) || len < 0 ||
+        len > kMaxBulkLen) {
+      return CommandError("Protocol error: invalid bulk length");
+    }
+    const size_t body = static_cast<size_t>(len);
+    size_t next = 0;
+    const ParseStatus framed = FrameBulkPayload(bytes, len_end, body, &next);
+    if (framed == ParseStatus::kIncomplete) return CommandParse{};
+    if (framed == ParseStatus::kError) return CommandError(kBulkNotTerminated);
+    result.argv.emplace_back(bytes.substr(len_end + 2, body));
+    cursor = next;
+  }
+  result.status = ParseStatus::kOk;
+  result.consumed = cursor;
+  return result;
+}
+
 }  // namespace
 
 CommandParse ParseCommand(std::string_view bytes) {
   if (bytes.empty()) return CommandParse{};
-  if (bytes[0] != '*') return ParseInlineCommand(bytes);
-  size_t end = 0;
-  ParseResult request = ParseAt(bytes, 0, &end, kMaxMultibulkLen);
-  if (request.status == ParseStatus::kOk) request.consumed = end;
-  if (request.status == ParseStatus::kIncomplete) return CommandParse{};
-  if (request.status == ParseStatus::kError) {
-    return CommandError(std::move(request.error));
-  }
-  if (request.value.type != RespType::kArray) {
-    // *-1\r\n from a client: not a valid request.
-    return CommandError("Protocol error: invalid multibulk length");
-  }
-  CommandParse result;
-  result.status = ParseStatus::kOk;
-  result.consumed = request.consumed;
-  result.argv.reserve(request.value.elements.size());
-  for (RespValue& element : request.value.elements) {
-    if (element.type != RespType::kBulkString) {
-      return CommandError("Protocol error: expected '$', got something else");
-    }
-    result.argv.push_back(std::move(element.text));
-  }
-  return result;
+  if (bytes[0] == '*') return ParseMultibulkCommand(bytes);
+  return ParseInlineCommand(bytes);
 }
 
 }  // namespace cuckoograph::redis_sim

@@ -1,8 +1,9 @@
-// RESP2 (REdis Serialization Protocol) codec for the Redis-module
-// simulation of Section V-F. The Figure 17 bench routes every CuckooGraph
-// operation through serialized bytes — multibulk request encoding, request
-// parsing, dispatch, reply encoding, reply parsing — so the measured
-// throughput includes genuine protocol overhead, not a function call.
+// RESP2 (REdis Serialization Protocol) codec for the Redis module of
+// Section V-F. Every served CuckooGraph operation crosses it twice:
+// request encoding and parsing on the way in, reply encoding and parsing
+// on the way out. The Figure 17 bench sends each one through a loopback
+// TcpRespServer, so its throughput includes the protocol and the socket,
+// not a function call.
 //
 // The subset implemented is what a RESP2 command connection exercises:
 // simple strings (+), errors (-), integers (:), bulk strings ($, including
@@ -26,6 +27,13 @@ namespace cuckoograph::redis_sim {
 // allocations.
 inline constexpr long long kMaxBulkLen = 512LL * 1024 * 1024;
 inline constexpr long long kMaxMultibulkLen = 1024 * 1024;
+
+// Redis's PROTO_INLINE_MAX_SIZE: the longest request line ParseCommand
+// waits on for a terminator. An inline command, or a multibulk or bulk
+// length header, that passes it is a protocol error ("too big inline
+// request", "too big mbulk count string", "too big bulk count string"),
+// and the terminator search never looks further. Replies are not capped.
+inline constexpr size_t kMaxInlineLen = 64 * 1024;
 
 enum class RespType {
   kSimpleString,  // +OK\r\n
@@ -90,6 +98,8 @@ struct CommandParse {
 // Decodes one client request from the front of `bytes`: a '*'-prefixed
 // multibulk request (every element must be a bulk string), or an inline
 // command — a bare line split on spaces/tabs, terminated by LF or CRLF.
+// Lines are capped at kMaxInlineLen, bulk payloads at kMaxBulkLen and
+// element counts at kMaxMultibulkLen.
 // A kOk result with empty argv (empty multibulk or blank inline line) is
 // a no-op request the server skips without replying, matching Redis.
 CommandParse ParseCommand(std::string_view bytes);

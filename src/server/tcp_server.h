@@ -1,8 +1,10 @@
 // TcpRespServer: the real network service over the Redis-protocol front
 // door. An epoll-based nonblocking TCP server that speaks RESP2 and
 // dispatches every request into a shared CommandTable — the same
-// dispatch/protocol core the in-process RedisServerSim wraps, so the
-// served path adds only sockets, not a second protocol implementation.
+// CommandTable + RespConnection core an in-process embedding drives
+// directly, so the served path adds only sockets, not a second protocol
+// implementation. It is the socket front door: Figure 17 and the
+// served-traffic bench both measure through it over loopback.
 //
 // Threading model (see docs/ARCHITECTURE.md for the lifecycle diagram):
 //  - `num_workers` event-loop threads, each running its own epoll set.

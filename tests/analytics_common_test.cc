@@ -17,6 +17,7 @@
 #include "common/types.h"
 #include "core/weighted_cuckoo_graph.h"
 #include "gtest/gtest.h"
+#include "test_stores.h"
 
 namespace cuckoograph {
 namespace {
@@ -212,9 +213,12 @@ TEST(AnalyticsCommonTest, InducedSubgraphFiltersBothEndpoints) {
   EXPECT_TRUE(analytics::InducedSubgraph(snapshot, {}).empty());
 }
 
-// ---- Round-trip over every factory scheme --------------------------------
+// ---- Round-trip over every store of the matrix ---------------------------
 
-class SnapshotRoundTripTest : public ::testing::TestWithParam<std::string> {};
+class SnapshotRoundTripTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  test_stores::StoreMaker maker_;
+};
 
 TEST_P(SnapshotRoundTripTest, CsrRebuiltFromStoreEqualsInsertedEdges) {
   SplitMix64 rng(77);
@@ -222,7 +226,7 @@ TEST_P(SnapshotRoundTripTest, CsrRebuiltFromStoreEqualsInsertedEdges) {
   for (int i = 0; i < 8'000; ++i) {
     stream.push_back(Edge{rng.NextBelow(64), rng.NextBelow(500)});
   }
-  const auto store = MakeStoreByName(GetParam());
+  const auto store = maker_.Make(GetParam());
   store->InsertEdges(stream);
 
   const CsrSnapshot snapshot = CsrSnapshot::FromStore(*store);
@@ -241,14 +245,9 @@ TEST_P(SnapshotRoundTripTest, CsrRebuiltFromStoreEqualsInsertedEdges) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllSchemes, SnapshotRoundTripTest,
-    ::testing::ValuesIn(AllSchemeNames()),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      std::string name = info.param;
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(AllSchemes, SnapshotRoundTripTest,
+                         ::testing::ValuesIn(test_stores::AllStoreNames()),
+                         test_stores::ParamName);
 
 }  // namespace
 }  // namespace cuckoograph

@@ -1,8 +1,9 @@
 // Kernel correctness: each of the seven analytics kernels checked against
 // a naive reference implementation on small deterministic graphs (path,
-// star, clique, two components, diamond), parameterized over every factory
-// scheme — every store feeds the kernels through the same CsrSnapshot
-// layer, so agreement here certifies store, snapshot, and kernel together.
+// star, clique, two components, diamond), parameterized over every store
+// of tests/test_stores.h (registry schemes and the durable decorator) —
+// every store feeds the kernels through the same CsrSnapshot layer, so
+// agreement here certifies store, snapshot, and kernel together.
 #include <algorithm>
 #include <cmath>
 #include <map>
@@ -24,12 +25,14 @@
 #include "baselines/store_factory.h"
 #include "common/types.h"
 #include "gtest/gtest.h"
+#include "test_stores.h"
 
 namespace cuckoograph {
 namespace {
 
 using analytics::CsrSnapshot;
 using analytics::DenseId;
+using analytics::KernelOptions;
 using analytics::KernelResult;
 using analytics::kUnreached;
 
@@ -283,7 +286,7 @@ class AnalyticsKernelsTest : public ::testing::TestWithParam<std::string> {
   // Loads the case's stream into this scheme's store, snapshots it with
   // weights, and builds the matching reference model.
   void Load(const TestCase& c) {
-    store_ = MakeStoreByName(GetParam());
+    store_ = maker_.Make(GetParam());
     store_->InsertEdges(c.stream);
     CsrSnapshot::Options opts;
     opts.with_weights = true;
@@ -299,6 +302,7 @@ class AnalyticsKernelsTest : public ::testing::TestWithParam<std::string> {
     return result.per_node[dense];
   }
 
+  test_stores::StoreMaker maker_;  // outlives store_
   std::unique_ptr<GraphStore> store_;
   CsrSnapshot snapshot_;
   RefGraph ref_;
@@ -334,10 +338,14 @@ TEST_P(AnalyticsKernelsTest, SsspMatchesNaiveDijkstra) {
     for (const NodeId n : ref_.nodes) {
       EXPECT_EQ(ValueAt(result, n), expected.at(n)) << n;
     }
-    // The delta-stepping variant settles the same distances, at any width.
+    // Delta-stepping (any budget >= 2) settles the same distances, at
+    // any bucket width.
     for (const uint64_t delta : {1, 2, 16}) {
-      const KernelResult stepped = analytics::sssp::RunDeltaStepping(
-          snapshot_, Span<const NodeId>(c.sources), delta);
+      KernelOptions opts;
+      opts.num_threads = 2;
+      opts.delta = delta;
+      const KernelResult stepped =
+          analytics::sssp::Run(snapshot_, Span<const NodeId>(c.sources), opts);
       EXPECT_EQ(stepped.per_node, result.per_node) << "delta=" << delta;
       EXPECT_EQ(stepped.aggregate, result.aggregate);
     }
@@ -434,7 +442,7 @@ TEST_P(AnalyticsKernelsTest, LccMatchesNaiveReference) {
 }
 
 TEST_P(AnalyticsKernelsTest, EmptySnapshotRunsEveryKernel) {
-  store_ = MakeStoreByName(GetParam());
+  store_ = maker_.Make(GetParam());
   snapshot_ = CsrSnapshot::FromStore(*store_);
   const Span<const NodeId> none;
   EXPECT_EQ(analytics::bfs::Run(snapshot_, none).aggregate, 0u);
@@ -447,14 +455,9 @@ TEST_P(AnalyticsKernelsTest, EmptySnapshotRunsEveryKernel) {
   EXPECT_EQ(analytics::lcc::Run(snapshot_, none).aggregate, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllSchemes, AnalyticsKernelsTest,
-    ::testing::ValuesIn(AllSchemeNames()),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      std::string name = info.param;
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(AllSchemes, AnalyticsKernelsTest,
+                         ::testing::ValuesIn(test_stores::AllStoreNames()),
+                         test_stores::ParamName);
 
 }  // namespace
 }  // namespace cuckoograph

@@ -31,12 +31,21 @@
 #include "persist/durable_store.h"
 #include "persist/file_io.h"
 #include "persist/wal.h"
+#include "test_stores.h"
 
 namespace cuckoograph {
 namespace {
 
 using persist::DurableOptions;
 using persist::DurableStore;
+
+// DurableStore over a fresh instance of the `inner` registry scheme, the
+// way an embedding opens it. Throws std::runtime_error on failure.
+std::unique_ptr<DurableStore> OpenDurable(const std::string& inner,
+                                          const DurableOptions& opts) {
+  return test_stores::OpenDurable(MakeStoreByName(inner), inner + "-durable",
+                                  opts);
+}
 
 using EdgeSet = std::set<std::pair<NodeId, NodeId>>;
 
@@ -121,14 +130,15 @@ class CrashPointRecoveryTest : public ::testing::Test {
   }
   void TearDown() override { persist::RemoveDirTree(dir_); }
 
-  std::unique_ptr<DurableStore> OpenStore(const std::string& scheme,
+  // Opens (or reopens, recovering) the decorator over `inner` in dir_.
+  std::unique_ptr<DurableStore> OpenStore(const std::string& inner,
                                           WalSyncMode mode,
                                           size_t checkpoint_every) {
     DurableOptions opts;
     opts.dir = dir_;
     opts.sync_mode = mode;
     opts.checkpoint_every_records = checkpoint_every;
-    return MakeDurableStoreByName(scheme, opts);
+    return OpenDurable(inner, opts);
   }
 
   // Forks the workload under the armed crash point, asserts the child
@@ -136,12 +146,12 @@ class CrashPointRecoveryTest : public ::testing::Test {
   // Returns the recovered store for extra per-point assertions.
   std::unique_ptr<DurableStore> CrashAndRecover(const char* point,
                                                 uint64_t kill_on_hit,
-                                                const std::string& scheme,
+                                                const std::string& inner,
                                                 WalSyncMode mode,
                                                 size_t checkpoint_every) {
     const auto result = testing::RunToCrash(
         point, kill_on_hit, [&](testing::CrashSharedState* shared) {
-          auto store = OpenStore(scheme, mode, checkpoint_every);
+          auto store = OpenStore(inner, mode, checkpoint_every);
           for (uint64_t i = 0; i < 200'000; ++i) {
             ApplyToStore(store.get(), i);
             shared->acked.store(i + 1, std::memory_order_release);
@@ -153,7 +163,7 @@ class CrashPointRecoveryTest : public ::testing::Test {
         << ", hits=" << result.hits << ")";
     if (!result.killed) return nullptr;
 
-    auto recovered = OpenStore(scheme, WalSyncMode::kNone, 0);
+    auto recovered = OpenStore(inner, WalSyncMode::kNone, 0);
     EXPECT_TRUE(
         PrefixConsistent(StoreEdges(*recovered), result.acked, 4096))
         << "point=" << point << " hit=" << kill_on_hit
@@ -168,40 +178,40 @@ class CrashPointRecoveryTest : public ::testing::Test {
 TEST_F(CrashPointRecoveryTest, KillMidTransformation) {
   // The in-memory structure dies half-transformed; recovery rebuilds
   // purely from the log, so the wreckage is irrelevant.
-  CrashAndRecover("core:mid_transformation", 1, "cuckoo-durable",
+  CrashAndRecover("core:mid_transformation", 1, "CuckooGraph",
                   WalSyncMode::kAlways, 0);
 }
 
 TEST_F(CrashPointRecoveryTest, KillMidTransformationDeep) {
-  CrashAndRecover("core:mid_transformation", 3, "cuckoo-durable",
+  CrashAndRecover("core:mid_transformation", 3, "CuckooGraph",
                   WalSyncMode::kAlways, 0);
 }
 
 TEST_F(CrashPointRecoveryTest, KillPostAppendPreSyncFirstRecord) {
-  CrashAndRecover("wal:post_append_pre_sync", 1, "cuckoo-durable",
+  CrashAndRecover("wal:post_append_pre_sync", 1, "CuckooGraph",
                   WalSyncMode::kAlways, 0);
 }
 
 TEST_F(CrashPointRecoveryTest, KillPostAppendPreSyncDeep) {
-  CrashAndRecover("wal:post_append_pre_sync", 700, "cuckoo-durable",
+  CrashAndRecover("wal:post_append_pre_sync", 700, "CuckooGraph",
                   WalSyncMode::kAlways, 0);
 }
 
 TEST_F(CrashPointRecoveryTest, KillMidGroupCommit) {
-  CrashAndRecover("wal:mid_group_commit", 1, "cuckoo-durable",
+  CrashAndRecover("wal:mid_group_commit", 1, "CuckooGraph",
                   WalSyncMode::kGroup, 0);
 }
 
 TEST_F(CrashPointRecoveryTest, KillMidGroupCommitDeep) {
-  CrashAndRecover("wal:mid_group_commit", 200, "cuckoo-durable",
+  CrashAndRecover("wal:mid_group_commit", 200, "CuckooGraph",
                   WalSyncMode::kGroup, 0);
 }
 
 TEST_F(CrashPointRecoveryTest, KillBeforeSnapshotRename) {
   // Checkpoint died after writing snapshot.tmp but before the rename:
   // no published snapshot exists, recovery replays the intact WAL.
-  auto recovered = CrashAndRecover("snapshot:pre_rename", 1,
-                                   "cuckoo-durable", WalSyncMode::kAlways,
+  auto recovered = CrashAndRecover("snapshot:pre_rename", 1, "CuckooGraph",
+                                   WalSyncMode::kAlways,
                                    /*checkpoint_every=*/64);
   ASSERT_NE(recovered, nullptr);
   EXPECT_FALSE(recovered->recovery().snapshot_loaded);
@@ -212,16 +222,16 @@ TEST_F(CrashPointRecoveryTest, KillAfterSnapshotRename) {
   // Checkpoint died between publishing the snapshot and truncating the
   // WAL: recovery loads the snapshot and must skip the already-covered
   // WAL records by their LSN instead of double-applying them.
-  auto recovered = CrashAndRecover("snapshot:post_rename", 1,
-                                   "cuckoo-durable", WalSyncMode::kAlways,
+  auto recovered = CrashAndRecover("snapshot:post_rename", 1, "CuckooGraph",
+                                   WalSyncMode::kAlways,
                                    /*checkpoint_every=*/64);
   ASSERT_NE(recovered, nullptr);
   EXPECT_TRUE(recovered->recovery().snapshot_loaded);
 }
 
 TEST_F(CrashPointRecoveryTest, KillSecondCheckpointKeepsNewestSnapshot) {
-  auto recovered = CrashAndRecover("snapshot:post_rename", 2,
-                                   "cuckoo-durable", WalSyncMode::kAlways,
+  auto recovered = CrashAndRecover("snapshot:post_rename", 2, "CuckooGraph",
+                                   WalSyncMode::kAlways,
                                    /*checkpoint_every=*/64);
   ASSERT_NE(recovered, nullptr);
   EXPECT_TRUE(recovered->recovery().snapshot_loaded);
@@ -230,7 +240,7 @@ TEST_F(CrashPointRecoveryTest, KillSecondCheckpointKeepsNewestSnapshot) {
 }
 
 TEST_F(CrashPointRecoveryTest, ShardedSchemeSurvivesTheSameKills) {
-  CrashAndRecover("wal:post_append_pre_sync", 300, "cuckoo-sharded-durable",
+  CrashAndRecover("wal:post_append_pre_sync", 300, "cuckoo-sharded",
                   WalSyncMode::kAlways, 0);
 }
 
@@ -438,7 +448,7 @@ TEST(DurableGroupCommitStressTest, ConcurrentWritersShareSyncsAndRecover) {
     DurableOptions opts;
     opts.dir = dir;
     opts.sync_mode = WalSyncMode::kGroup;
-    auto store = MakeDurableStoreByName("cuckoo-sharded-durable", opts);
+    auto store = OpenDurable("cuckoo-sharded", opts);
     std::vector<std::thread> writers;
     for (int t = 0; t < kThreads; ++t) {
       writers.emplace_back([&store, t] {
@@ -460,7 +470,7 @@ TEST(DurableGroupCommitStressTest, ConcurrentWritersShareSyncsAndRecover) {
   DurableOptions reopen;
   reopen.dir = dir;
   reopen.sync_mode = WalSyncMode::kNone;
-  auto recovered = MakeDurableStoreByName("cuckoo-sharded-durable", reopen);
+  auto recovered = OpenDurable("cuckoo-sharded", reopen);
   EXPECT_EQ(recovered->NumEdges(),
             static_cast<size_t>(kThreads) * kPerThread);
   recovered.reset();

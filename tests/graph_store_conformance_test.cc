@@ -1,8 +1,9 @@
-// Shared GraphStore v2 conformance suite, instantiated through the store
-// factory for CuckooGraph and every baseline scheme. Each behaviour is
-// checked against a reference std::map adjacency model so all schemes are
-// held to the same contract: idempotent insert/delete, exact NumEdges /
-// NumNodes, cursor iteration agreement, and batch-op equivalence.
+// Shared GraphStore v2 conformance suite, instantiated for every registry
+// scheme and for the DurableStore decorator over CuckooGraph and over
+// cuckoo-sharded (tests/test_stores.h). Each behaviour is checked against
+// a reference std::map adjacency model so all stores are held to the same
+// contract: idempotent insert/delete, exact NumEdges / NumNodes, cursor
+// iteration agreement, and batch-op equivalence.
 #include <algorithm>
 #include <map>
 #include <memory>
@@ -16,6 +17,9 @@
 #include "common/types.h"
 #include "core/graph_store.h"
 #include "gtest/gtest.h"
+#include "persist/durable_store.h"
+#include "persist/file_io.h"
+#include "test_stores.h"
 
 namespace cuckoograph {
 namespace {
@@ -45,8 +49,9 @@ size_t ModelEdges(const ReferenceModel& model) {
 class GraphStoreConformanceTest
     : public ::testing::TestWithParam<std::string> {
  protected:
-  GraphStoreConformanceTest() : store_(MakeStoreByName(GetParam())) {}
+  GraphStoreConformanceTest() : store_(maker_.Make(GetParam())) {}
 
+  test_stores::StoreMaker maker_;  // outlives store_
   std::unique_ptr<GraphStore> store_;
 };
 
@@ -162,7 +167,7 @@ TEST_P(GraphStoreConformanceTest, BatchOpsAgreeWithSingleOps) {
     batch.push_back(Edge{rng.NextBelow(32), rng.NextBelow(300)});
   }
   // A scalar-op twin store is the ground truth for the batch entry points.
-  auto twin = MakeStoreByName(GetParam());
+  auto twin = maker_.Make(GetParam());
   size_t twin_fresh = 0;
   for (const Edge& e : batch) twin_fresh += twin->InsertEdge(e.u, e.v);
 
@@ -204,15 +209,9 @@ TEST_P(GraphStoreConformanceTest, EmptyBatchesAreNoOps) {
   EXPECT_EQ(store_->NumEdges(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllSchemes, GraphStoreConformanceTest,
-    ::testing::ValuesIn(AllSchemeNames()),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      // Scheme names may contain '-', which gtest test names cannot.
-      std::string name = info.param;
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(AllSchemes, GraphStoreConformanceTest,
+                         ::testing::ValuesIn(test_stores::AllStoreNames()),
+                         test_stores::ParamName);
 
 // ---- Factory contract ------------------------------------------------------
 
@@ -225,38 +224,39 @@ TEST(StoreFactoryTest, MakesEveryRegisteredScheme) {
 }
 
 TEST(StoreFactoryTest, SchemeOrderIsThePapersColumnOrder) {
-  // The paper's comparison columns first, then the extended stores
-  // (weighted, the concurrent sharded front-end, the durable
-  // decorators).
+  // The paper's comparison columns first, then the extended in-memory
+  // stores (weighted, the concurrent sharded front-end).
   const std::vector<std::string> expected{
-      "CuckooGraph",     "AdjacencyList", "HashMap",
-      "SortedVector",    "cuckoo-weighted", "cuckoo-sharded",
-      "cuckoo-durable",  "cuckoo-sharded-durable"};
+      "CuckooGraph",  "AdjacencyList",   "HashMap",
+      "SortedVector", "cuckoo-weighted", "cuckoo-sharded"};
   EXPECT_EQ(AllSchemeNames(), expected);
 }
 
 TEST(StoreFactoryTest, ShardedSchemeAdvertisesConcurrency) {
-  EXPECT_TRUE(
-      MakeStoreByName("cuckoo-sharded")->Capabilities().concurrent_mutations);
-  // Only the sharded front-end and its durable decorator (which
-  // inherits the wrapped store's capabilities) advertise it.
+  // The sharded front-end is the only registry scheme that does.
   for (const std::string& name : AllSchemeNames()) {
-    if (name == "cuckoo-sharded" || name == "cuckoo-sharded-durable") {
-      EXPECT_TRUE(MakeStoreByName(name)->Capabilities().concurrent_mutations)
-          << name;
-    } else {
-      EXPECT_FALSE(MakeStoreByName(name)->Capabilities().concurrent_mutations)
-          << name;
-    }
+    EXPECT_EQ(MakeStoreByName(name)->Capabilities().concurrent_mutations,
+              name == "cuckoo-sharded")
+        << name;
   }
 }
 
 TEST(StoreFactoryTest, DurableSchemesAdvertiseDurability) {
+  // No registry scheme is durable. The decorator sets `durable` over
+  // any of them and inherits every other capability, concurrent
+  // mutations included.
+  test_stores::StoreMaker maker;
   for (const std::string& name : AllSchemeNames()) {
-    const bool expect_durable =
-        name == "cuckoo-durable" || name == "cuckoo-sharded-durable";
-    EXPECT_EQ(MakeStoreByName(name)->Capabilities().durable, expect_durable)
+    const StoreCapabilities inner = MakeStoreByName(name)->Capabilities();
+    EXPECT_FALSE(inner.durable) << name;
+    const StoreCapabilities wrapped =
+        maker.Wrap(MakeStoreByName(name), name + "-durable")->Capabilities();
+    EXPECT_TRUE(wrapped.durable) << name;
+    EXPECT_EQ(wrapped.concurrent_mutations, inner.concurrent_mutations)
         << name;
+    EXPECT_EQ(wrapped.weighted, inner.weighted) << name;
+    EXPECT_EQ(wrapped.deletions, inner.deletions) << name;
+    EXPECT_EQ(wrapped.stable_iteration, inner.stable_iteration) << name;
   }
 }
 
@@ -294,32 +294,10 @@ TEST(StoreFactoryTest, DuplicateRegistrationIsRejected) {
   EXPECT_FALSE(RegisterStore("CuckooGraph", nullptr));
 }
 
-TEST(StoreFactoryTest, MakeDurableStoreRejectsNonDurableNames) {
-  persist::DurableOptions opts;
-  opts.dir = "/tmp/never-created";
-  EXPECT_THROW(MakeDurableStoreByName("CuckooGraph", opts),
-               std::invalid_argument);
-  EXPECT_THROW(MakeDurableStoreByName("NoSuchScheme", opts),
-               std::invalid_argument);
-}
-
-TEST(StoreFactoryTest, MakeDurableOptionsHonorsTheConfigKnobs) {
-  Config config;
-  config.wal_sync_mode = WalSyncMode::kAlways;
-  config.wal_checkpoint_records = 123;
-  const persist::DurableOptions opts =
-      persist::MakeDurableOptions(config, "/some/dir");
-  EXPECT_EQ(opts.dir, "/some/dir");
-  EXPECT_EQ(opts.sync_mode, WalSyncMode::kAlways);
-  EXPECT_EQ(opts.checkpoint_every_records, 123u);
-  EXPECT_FALSE(opts.owns_dir);
-}
-
 // ---- Durability conformance ------------------------------------------------
-// The durable schemes additionally promise that a store reopened over
-// the same directory equals the store at close: write -> close ->
-// recover -> verify, through both the WAL-replay and the snapshot
-// recovery paths.
+// The decorator additionally promises that a store reopened over the
+// same directory equals the store at close: write -> close -> recover ->
+// verify, through both the WAL-replay and the snapshot recovery paths.
 
 class DurableConformanceTest : public ::testing::TestWithParam<std::string> {
  protected:
@@ -330,14 +308,17 @@ class DurableConformanceTest : public ::testing::TestWithParam<std::string> {
   }
   void TearDown() override { persist::RemoveDirTree(dir_); }
 
-  // Opens (or reopens, recovering) the scheme under test over dir_.
+  // Opens (or reopens, recovering) DurableStore over a fresh instance of
+  // the inner scheme in dir_.
   std::unique_ptr<persist::DurableStore> Open(
       WalSyncMode mode = WalSyncMode::kNone, size_t checkpoint_every = 0) {
     persist::DurableOptions opts;
     opts.dir = dir_;
     opts.sync_mode = mode;
     opts.checkpoint_every_records = checkpoint_every;
-    return MakeDurableStoreByName(GetParam(), opts);
+    return test_stores::OpenDurable(
+        MakeStoreByName(test_stores::DurableInner(GetParam())), GetParam(),
+        opts);
   }
 
   std::string dir_;
@@ -457,14 +438,10 @@ TEST_P(DurableConformanceTest, SyncModesAllRecover) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    DurableSchemes, DurableConformanceTest,
-    ::testing::Values("cuckoo-durable", "cuckoo-sharded-durable"),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      std::string name = info.param;
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(DurableSchemes, DurableConformanceTest,
+                         ::testing::Values("cuckoo-durable",
+                                           "cuckoo-sharded-durable"),
+                         test_stores::ParamName);
 
 }  // namespace
 }  // namespace cuckoograph

@@ -1,9 +1,9 @@
-// Unit tests for the transport-agnostic dispatch core carved out of
-// RedisServerSim: CommandTable (registration, Span argv dispatch, shared
-// atomic counters) and RespConnection (per-connection parser state,
-// reply buffering, protocol-error handling). The multi-connection cases
-// are what the in-process sim can never exercise: several connections
-// with interleaved partial commands over one table.
+// Unit tests for the transport-agnostic dispatch core, the in-process
+// front door: CommandTable (registration, arity, Span argv dispatch,
+// shared atomic counters) and RespConnection (per-connection parser
+// state, reply buffering, protocol-error handling, the request-line
+// cap). The multi-connection cases run several connections with
+// interleaved partial commands over one table.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -63,6 +63,29 @@ TEST(CommandTableTest, HandlerErrorRepliesAreCounted) {
   EXPECT_EQ(table.dispatch_errors(), 1u);
 }
 
+TEST(CommandTableTest, RegistrationRejectsDuplicatesCaseInsensitively) {
+  CommandTable table;
+  const auto handler = [](Span<const std::string_view>) {
+    return RespValue::Simple("OK");
+  };
+  EXPECT_TRUE(table.RegisterCommand("PING", -1, handler));
+  EXPECT_FALSE(table.RegisterCommand("ping", -1, handler));
+  EXPECT_EQ(table.CommandNames(), std::vector<std::string>{"PING"});
+}
+
+TEST(CommandTableTest, NegativeArityMeansAtLeast) {
+  CommandTable table;
+  table.RegisterCommand("VARARG", -2, [](Span<const std::string_view> argv) {
+    return RespValue::Integer(static_cast<long long>(argv.size()));
+  });
+  const auto dispatch = [&table](std::vector<std::string_view> argv) {
+    return table.Dispatch(Span<const std::string_view>(argv));
+  };
+  EXPECT_TRUE(dispatch({"VARARG"}).IsError());
+  EXPECT_EQ(dispatch({"VARARG", "a"}).integer, 2);
+  EXPECT_EQ(dispatch({"VARARG", "a", "b", "c"}).integer, 4);
+}
+
 TEST(RespConnectionTest, InterleavedPartialCommandsDoNotShareParserState) {
   CommandTable table;
   RegisterEcho(&table);
@@ -120,9 +143,11 @@ TEST(RespConnectionTest, ProtocolErrorPoisonsOnlyThatConnection) {
   // buffer is discarded, and Feed reports the connection as dirty.
   EXPECT_FALSE(
       poisoned.Feed("*1\r\n:5\r\n" + EncodeCommand({"PING"}), &out));
-  EXPECT_EQ(out.rfind("-ERR Protocol error", 0), 0u) << out;
+  EXPECT_EQ(out, "-ERR Protocol error: expected '$', got ':'\r\n");
   EXPECT_EQ(poisoned.buffered_bytes(), 0u);
   EXPECT_EQ(poisoned.stats().protocol_errors, 1u);
+  // The pipelined PING behind the poisoned request was never dispatched.
+  EXPECT_EQ(poisoned.stats().commands, 0u);
 
   // The other connection never notices.
   out.clear();
@@ -130,7 +155,7 @@ TEST(RespConnectionTest, ProtocolErrorPoisonsOnlyThatConnection) {
   EXPECT_EQ(out, "+PONG\r\n");
   EXPECT_EQ(healthy.stats().protocol_errors, 0u);
 
-  // An embedding that keeps feeding (the sim does) starts clean again.
+  // An in-process caller that keeps feeding starts clean again.
   out.clear();
   EXPECT_TRUE(poisoned.Feed(EncodeCommand({"PING"}), &out));
   EXPECT_EQ(out, "+PONG\r\n");
@@ -158,6 +183,73 @@ TEST(RespConnectionTest, StatsCountBytesBothWays) {
   EXPECT_EQ(conn.stats().bytes_in, wire.size());
   EXPECT_EQ(conn.stats().bytes_out, out.size());
   EXPECT_EQ(conn.stats().error_replies, 0u);
+}
+
+// A line that never ends must not grow the buffer without bound: past
+// kMaxInlineLen bytes with no terminator, Redis answers a protocol error.
+TEST(RespConnectionTest, UnterminatedInlineLineIsAProtocolError) {
+  CommandTable table;
+  RegisterEcho(&table);
+  RespConnection conn(&table);
+  std::string out;
+  EXPECT_FALSE(conn.Feed(std::string(kMaxInlineLen + 1, 'a'), &out));
+  EXPECT_EQ(out, "-ERR Protocol error: too big inline request\r\n");
+  EXPECT_EQ(conn.buffered_bytes(), 0u);
+
+  // Up to the cap the line may still end, so it stays buffered; the
+  // first byte past it is refused, however the bytes were split.
+  RespConnection split(&table);
+  out.clear();
+  EXPECT_TRUE(split.Feed(std::string(kMaxInlineLen, 'a'), &out));
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(split.buffered_bytes(), kMaxInlineLen);
+  EXPECT_FALSE(split.Feed("a", &out));
+  EXPECT_EQ(out, "-ERR Protocol error: too big inline request\r\n");
+  EXPECT_EQ(split.buffered_bytes(), 0u);
+}
+
+TEST(RespConnectionTest, UnterminatedLengthHeadersAreProtocolErrors) {
+  CommandTable table;
+  RegisterEcho(&table);
+  const std::string digits(70'000, '1');
+  struct Case {
+    std::string wire;
+    const char* reply;
+  };
+  for (const Case& c :
+       {Case{"*" + digits,
+             "-ERR Protocol error: too big mbulk count string\r\n"},
+        Case{"*1\r\n$" + digits,
+             "-ERR Protocol error: too big bulk count string\r\n"}}) {
+    RespConnection conn(&table);
+    std::string out;
+    EXPECT_FALSE(conn.Feed(c.wire, &out));
+    EXPECT_EQ(out, c.reply);
+    EXPECT_EQ(conn.buffered_bytes(), 0u);
+  }
+}
+
+// The cap bounds unterminated lines only: a long request whose lines all
+// end in time is served, and a pending bulk payload is not a line.
+TEST(RespConnectionTest, LongTerminatedRequestsAreServed) {
+  CommandTable table;
+  RegisterEcho(&table);
+  RespConnection conn(&table);
+  const std::string big(3 * kMaxInlineLen, 'x');
+  const std::string wire = EncodeCommand({"ECHO", big});
+  std::string out;
+  EXPECT_TRUE(conn.Feed(wire.substr(0, wire.size() - 1), &out));
+  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(conn.Feed(wire.substr(wire.size() - 1), &out));
+  EXPECT_EQ(out, Encode(RespValue::Bulk(big)));
+  EXPECT_EQ(conn.buffered_bytes(), 0u);
+
+  // An inline line of exactly kMaxInlineLen bytes before its LF is fine.
+  out.clear();
+  const std::string line =
+      "ECHO " + std::string(kMaxInlineLen - 5, 'y') + "\n";
+  EXPECT_TRUE(conn.Feed(line, &out));
+  EXPECT_EQ(out, Encode(RespValue::Bulk(std::string(kMaxInlineLen - 5, 'y'))));
 }
 
 }  // namespace
