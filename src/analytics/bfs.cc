@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -55,51 +54,6 @@ KernelResult RunSequential(const CsrSnapshot& graph,
   return result;
 }
 
-// In-edge CSR (the snapshot transposed), built lazily on the first
-// bottom-up step — a pure top-down run never pays for it. Segment order is
-// scatter order, i.e. nondeterministic under a parallel build; bottom-up
-// only asks "is any in-neighbor in the frontier", so depths are unaffected
-// (which in-neighbor becomes the parent is not, and the contract says so).
-struct InCsr {
-  std::vector<size_t> offsets;   // num_nodes + 1
-  std::vector<DenseId> sources;  // per-vertex in-neighbor segments
-};
-
-InCsr BuildTranspose(const CsrSnapshot& graph, const KernelOptions& opts) {
-  const size_t n = graph.num_nodes();
-  InCsr in;
-  auto counts = std::make_unique<std::atomic<size_t>[]>(n);
-  for (size_t v = 0; v < n; ++v) {
-    counts[v].store(0, std::memory_order_relaxed);
-  }
-  KernelParallelFor(opts, 0, n, [&](size_t begin, size_t end) {
-    for (size_t u = begin; u < end; ++u) {
-      for (const DenseId v : graph.Neighbors(static_cast<DenseId>(u))) {
-        counts[v].fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  });
-  in.offsets.assign(n + 1, 0);
-  for (size_t v = 0; v < n; ++v) {
-    in.offsets[v + 1] =
-        in.offsets[v] + counts[v].load(std::memory_order_relaxed);
-  }
-  // Reuse counts[] as the scatter cursors.
-  for (size_t v = 0; v < n; ++v) {
-    counts[v].store(in.offsets[v], std::memory_order_relaxed);
-  }
-  in.sources.resize(graph.num_edges());
-  KernelParallelFor(opts, 0, n, [&](size_t begin, size_t end) {
-    for (size_t u = begin; u < end; ++u) {
-      for (const DenseId v : graph.Neighbors(static_cast<DenseId>(u))) {
-        const size_t slot = counts[v].fetch_add(1, std::memory_order_relaxed);
-        in.sources[slot] = static_cast<DenseId>(u);
-      }
-    }
-  });
-  return in;
-}
-
 // One frontier-parallel top-down step: claims unvisited successors of the
 // sparse frontier, appends them to `next`, and returns (discovered,
 // scout), scout being the out-degree sum of the discoveries.
@@ -136,11 +90,14 @@ std::pair<uint64_t, uint64_t> TopDownStep(
 
 // One vertex-parallel bottom-up step: every unvisited vertex scans its
 // in-neighbors for a frontier member and claims itself on the first hit.
-// Returns the awake count (vertices discovered this step).
+// Returns the awake count (vertices discovered this step). Which
+// in-neighbor is hit first follows the transpose's unspecified segment
+// order, so it moves the parent, never the depth.
 uint64_t BottomUpStep(const CsrSnapshot& graph, const KernelOptions& opts,
-                      const InCsr& in, const AtomicVisitedBitmap& front,
-                      double depth, AtomicVisitedBitmap& visited,
-                      std::vector<double>& dist, std::vector<DenseId>& parent,
+                      const CsrSnapshot::Transpose& in,
+                      const AtomicVisitedBitmap& front, double depth,
+                      AtomicVisitedBitmap& visited, std::vector<double>& dist,
+                      std::vector<DenseId>& parent,
                       AtomicVisitedBitmap& next) {
   std::atomic<uint64_t> awake{0};
   KernelParallelFor(opts, 0, graph.num_nodes(),
@@ -149,9 +106,7 @@ uint64_t BottomUpStep(const CsrSnapshot& graph, const KernelOptions& opts,
                       for (size_t v = begin; v < end; ++v) {
                         const DenseId dv = static_cast<DenseId>(v);
                         if (visited.Test(dv)) continue;
-                        for (size_t s = in.offsets[v]; s < in.offsets[v + 1];
-                             ++s) {
-                          const DenseId u = in.sources[s];
+                        for (const DenseId u : in.InNeighbors(dv)) {
                           if (!front.Test(u)) continue;
                           visited.Set(dv);
                           dist[v] = depth;
@@ -188,17 +143,15 @@ KernelResult RunDirectionOptimizing(const CsrSnapshot& graph,
     ++result.aggregate;
   }
 
-  InCsr in;  // built on the first bottom-up switch
-  bool have_transpose = false;
   uint64_t edges_to_check = graph.num_edges();
   double depth = 0.0;
   std::vector<DenseId> next;
   while (!frontier.empty()) {
     if (scout_count > edges_to_check / kAlpha) {
-      if (!have_transpose) {
-        in = BuildTranspose(graph, opts);
-        have_transpose = true;
-      }
+      // The snapshot's shared transpose: the first bottom-up step of any
+      // BFS on this snapshot builds it, every later one reuses it.
+      const CsrSnapshot::Transpose& in =
+          graph.InEdges(opts.num_threads, opts.grain);
       AtomicVisitedBitmap front(n);
       for (const DenseId u : frontier) front.Set(u);
       uint64_t awake = frontier.size();

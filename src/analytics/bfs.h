@@ -19,12 +19,16 @@ inline constexpr DenseId kNoParent = ~DenseId{0};
 // opts.num_threads == 1 runs the sequential frontier loop — the exact
 // reference. A larger budget runs the GAP-style direction-optimizing
 // traversal: frontier-parallel top-down steps that hand off to
-// vertex-parallel bottom-up steps (over a lazily built in-edge transpose)
-// when the frontier's out-edge scout count crosses remaining_edges /
-// alpha, and back when the frontier shrinks under num_nodes / beta. Both
-// paths produce identical depths — level sets are deterministic; an
-// AtomicVisitedBitmap fetch_or arbitrates which lane claims a vertex, not
-// which level it lands in.
+// vertex-parallel bottom-up steps when the frontier's out-edge scout count
+// crosses remaining_edges / alpha, and back when the frontier shrinks
+// under num_nodes / beta. Bottom-up scans in-edges through the snapshot's
+// one shared transpose (CsrSnapshot::InEdges): the first bottom-up step of
+// any BFS on a snapshot builds it, and every later call — concurrent ones
+// included — reuses it, so repeated BFS over one snapshot pays the build
+// once (the GAP split of graph build from trials). A run that stays
+// top-down never builds it. Both paths produce identical depths — level
+// sets are deterministic; an AtomicVisitedBitmap fetch_or arbitrates which
+// lane claims a vertex, not which level it lands in.
 //
 // `parents`, when non-null, receives a valid BFS tree: parents[s] == s for
 // reached sources, otherwise parents[v] is some predecessor of v with

@@ -92,6 +92,7 @@ CsrSnapshot CsrSnapshot::Build(std::vector<Edge> edges,
                                std::vector<NodeId> universe,
                                const SnapshotOptions& opts) {
   CsrSnapshot snap;
+  snap.in_edges_ = std::make_unique<InEdgeCache>();
   snap.originals_ = std::move(universe);
   const size_t n = snap.originals_.size();
   snap.offsets_.assign(n + 1, 0);
@@ -343,6 +344,55 @@ std::vector<Edge> CsrSnapshot::ExtractEdges() const {
     }
   }
   return edges;
+}
+
+const CsrSnapshot::Transpose& CsrSnapshot::InEdges(size_t num_threads,
+                                                   size_t grain) const {
+  static const Transpose kEmpty;
+  if (in_edges_ == nullptr) return kEmpty;
+  std::call_once(in_edges_->built, [this, num_threads, grain] {
+    SnapshotOptions opts;
+    opts.num_threads = num_threads;
+    opts.grain = grain;
+    in_edges_->transpose = BuildTranspose(opts);
+  });
+  return in_edges_->transpose;
+}
+
+CsrSnapshot::Transpose CsrSnapshot::BuildTranspose(
+    const SnapshotOptions& opts) const {
+  const size_t n = num_nodes();
+  Transpose in;
+  auto counts = std::make_unique<std::atomic<size_t>[]>(n);
+  for (size_t v = 0; v < n; ++v) {
+    counts[v].store(0, std::memory_order_relaxed);
+  }
+  SnapParallelFor(opts, 0, n, [&](size_t begin, size_t end) {
+    for (size_t u = begin; u < end; ++u) {
+      for (const DenseId v : Neighbors(static_cast<DenseId>(u))) {
+        counts[v].fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  in.offsets_.assign(n + 1, 0);
+  for (size_t v = 0; v < n; ++v) {
+    in.offsets_[v + 1] =
+        in.offsets_[v] + counts[v].load(std::memory_order_relaxed);
+  }
+  // Reuse counts[] as the scatter cursors.
+  for (size_t v = 0; v < n; ++v) {
+    counts[v].store(in.offsets_[v], std::memory_order_relaxed);
+  }
+  in.sources_.resize(num_edges());
+  SnapParallelFor(opts, 0, n, [&](size_t begin, size_t end) {
+    for (size_t u = begin; u < end; ++u) {
+      for (const DenseId v : Neighbors(static_cast<DenseId>(u))) {
+        const size_t slot = counts[v].fetch_add(1, std::memory_order_relaxed);
+        in.sources_[slot] = static_cast<DenseId>(u);
+      }
+    }
+  });
+  return in;
 }
 
 size_t CsrSnapshot::MemoryBytes() const {

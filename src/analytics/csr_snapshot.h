@@ -11,6 +11,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/span.h"
@@ -128,8 +130,39 @@ class CsrSnapshot {
   // this way.
   std::vector<Edge> ExtractEdges() const;
 
-  // Heap footprint of the CSR arrays.
+  // Heap footprint of the CSR arrays. The in-edge transpose (InEdges) is
+  // not counted: it is built lazily, by the first kernel that needs it,
+  // so the figure reports the same bytes whether or not one ran.
   size_t MemoryBytes() const;
+
+  // The snapshot transposed: every vertex's in-neighbors. Segment order
+  // is unspecified (scatter order under a parallel build); only the
+  // multiset of in-neighbors is defined.
+  class Transpose {
+   public:
+    size_t num_nodes() const {
+      return offsets_.empty() ? 0 : offsets_.size() - 1;
+    }
+    size_t num_edges() const { return sources_.size(); }
+    Span<const DenseId> InNeighbors(DenseId v) const {
+      return Span<const DenseId>(sources_.data() + offsets_[v],
+                                 offsets_[v + 1] - offsets_[v]);
+    }
+
+   private:
+    friend class CsrSnapshot;
+    std::vector<size_t> offsets_;  // num_nodes + 1 entries, or empty
+    std::vector<DenseId> sources_;  // per-vertex in-neighbor segments
+  };
+
+  // The in-edge transpose, built at most once per snapshot: the first
+  // call builds it (count / prefix-sum / scatter, on up to `num_threads`
+  // shared-pool lanes in chunks of at least `grain` vertices), and every
+  // later or concurrent call — whatever its budget — waits for and reuses
+  // that one build. A default-constructed or moved-from snapshot answers
+  // with an empty transpose. FromStore and FromEdges never build it, so
+  // snapshot build time excludes it.
+  const Transpose& InEdges(size_t num_threads = 1, size_t grain = 1024) const;
 
  private:
   static CsrSnapshot Build(std::vector<Edge> edges,
@@ -137,10 +170,21 @@ class CsrSnapshot {
                            std::vector<NodeId> universe,
                            const SnapshotOptions& opts);
 
+  Transpose BuildTranspose(const SnapshotOptions& opts) const;
+
+  // The lazily built transpose behind a pointer, so the snapshot stays
+  // movable (std::once_flag is not). Null in a default-constructed or
+  // moved-from snapshot.
+  struct InEdgeCache {
+    std::once_flag built;
+    Transpose transpose;
+  };
+
   std::vector<size_t> offsets_;     // num_nodes + 1 entries
   std::vector<DenseId> neighbors_;  // per-vertex segments, ascending
   std::vector<uint64_t> weights_;   // parallel to neighbors_, or empty
   std::vector<NodeId> originals_;   // dense -> original, ascending
+  std::unique_ptr<InEdgeCache> in_edges_;
 };
 
 }  // namespace cuckoograph::analytics

@@ -1,6 +1,7 @@
 #include "server/tcp_server.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -27,6 +28,8 @@ constexpr size_t kMaxFlushIovecs = 64;
 std::string Errno(const char* what) {
   return std::string(what) + ": " + ErrnoString(errno);
 }
+
+int OpenReserveFd() { return ::open("/dev/null", O_RDONLY | O_CLOEXEC); }
 
 }  // namespace
 
@@ -72,6 +75,8 @@ bool TcpRespServer::Start(std::string* error) {
   }
   port_ = ntohs(addr.sin_port);
   if (::listen(listen_fd_, config_.backlog) < 0) return fail(Errno("listen"));
+  reserve_fd_ = OpenReserveFd();
+  if (reserve_fd_ < 0) return fail(Errno("open(/dev/null)"));
 
   workers_.clear();
   for (int w = 0; w < config_.num_workers; ++w) {
@@ -155,6 +160,10 @@ void TcpRespServer::Stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
+  if (reserve_fd_ >= 0) {
+    ::close(reserve_fd_);
+    reserve_fd_ = -1;
+  }
 }
 
 TcpRespServer::Stats TcpRespServer::stats() const {
@@ -162,6 +171,7 @@ TcpRespServer::Stats TcpRespServer::stats() const {
   stats.connections_accepted = accepted_.load(std::memory_order_relaxed);
   stats.connections_closed = closed_.load(std::memory_order_relaxed);
   stats.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
+  stats.connections_refused = refused_.load(std::memory_order_relaxed);
   stats.bytes_in = bytes_in_.load(std::memory_order_relaxed);
   stats.bytes_out = bytes_out_.load(std::memory_order_relaxed);
   return stats;
@@ -213,6 +223,9 @@ void TcpRespServer::AcceptPending() {
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
+      if ((errno == EMFILE || errno == ENFILE) && RefuseOnePending()) {
+        continue;
+      }
       return;  // EAGAIN (drained) or a transient accept failure
     }
     if (config_.tcp_nodelay) {
@@ -238,6 +251,23 @@ void TcpRespServer::AcceptPending() {
       RingWakeFd(worker->wake_fd);
     }
   }
+}
+
+bool TcpRespServer::RefuseOnePending() {
+  if (reserve_fd_ >= 0) {
+    ::close(reserve_fd_);
+    reserve_fd_ = -1;
+  }
+  int fd = -1;
+  do {
+    fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+  } while (fd < 0 && errno == EINTR);
+  if (fd >= 0) {
+    ::close(fd);
+    refused_.fetch_add(1, std::memory_order_relaxed);
+  }
+  reserve_fd_ = OpenReserveFd();
+  return fd >= 0;
 }
 
 void TcpRespServer::AdoptInbox(Worker* worker) {

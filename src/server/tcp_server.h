@@ -86,6 +86,9 @@ class TcpRespServer {
     uint64_t connections_accepted = 0;
     uint64_t connections_closed = 0;
     uint64_t protocol_errors = 0;  // connections dropped on framing errors
+    // Connections accepted and closed at once because the process or
+    // system was out of file descriptors (EMFILE/ENFILE).
+    uint64_t connections_refused = 0;
     uint64_t bytes_in = 0;
     uint64_t bytes_out = 0;
   };
@@ -131,6 +134,10 @@ class TcpRespServer {
 
   void WorkerLoop(Worker* worker, bool owns_listener);
   void AcceptPending();
+  // Out of fds: frees the reserve fd, accepts the pending connection onto
+  // it, closes it and reopens the reserve. Returns false when even that
+  // fails (the caller stops draining until the next readiness event).
+  bool RefuseOnePending();
   void AdoptInbox(Worker* worker);
   void HandleReadable(Worker* worker, Connection* connection);
   // Writes as much of the outbound queue as the socket takes, gathering
@@ -144,6 +151,11 @@ class TcpRespServer {
   ServerConfig config_;
   const redis_sim::CommandTable* table_;
   int listen_fd_ = -1;
+  // A spare fd (/dev/null) held for the out-of-fds case: the listener is
+  // level-triggered, so a pending connection accept4 cannot take keeps it
+  // readable and would spin the acceptor. Closing the reserve makes room
+  // to accept that connection and close it, draining the backlog.
+  int reserve_fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<size_t> next_worker_{0};  // round-robin accept target
@@ -152,6 +164,7 @@ class TcpRespServer {
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> closed_{0};
   std::atomic<uint64_t> protocol_errors_{0};
+  std::atomic<uint64_t> refused_{0};
   std::atomic<uint64_t> bytes_in_{0};
   std::atomic<uint64_t> bytes_out_{0};
 };

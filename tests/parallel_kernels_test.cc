@@ -14,7 +14,10 @@
 // The snapshot side: the parallel CsrSnapshot builder must be
 // byte-identical to the sequential one — offsets, neighbor order,
 // accumulated weights, dense remap — and must still throw std::logic_error
-// when the store's edge count drifts mid-build. The suite name is wired
+// when the store's edge count drifts mid-build. The snapshot's shared
+// in-edge transpose must hold every vertex's in-neighbor multiset at any
+// build budget, be empty on empty and moved-from snapshots, and survive
+// concurrent BFS callers racing its first build. The suite name is wired
 // into the TSan CI regex, so every claim here is also raced.
 #include <algorithm>
 #include <atomic>
@@ -230,6 +233,96 @@ TEST_P(ParallelKernelsTest, BfsDepthsMatchSequentialAtEveryBudget) {
       CheckBfsTree(snapshot_, par, parents, c.sources);
     }
   }
+}
+
+// Each vertex's in-neighbors, as a sorted multiset.
+std::vector<std::vector<DenseId>> SortedInNeighbors(
+    const CsrSnapshot::Transpose& in) {
+  std::vector<std::vector<DenseId>> out(in.num_nodes());
+  for (DenseId v = 0; v < in.num_nodes(); ++v) {
+    const Span<const DenseId> seg = in.InNeighbors(v);
+    out[v].assign(seg.begin(), seg.end());
+    std::sort(out[v].begin(), out[v].end());
+  }
+  return out;
+}
+
+// The naive transpose: walk every out-edge, file it under its target.
+std::vector<std::vector<DenseId>> NaiveInNeighbors(const CsrSnapshot& graph) {
+  std::vector<std::vector<DenseId>> out(graph.num_nodes());
+  for (DenseId u = 0; u < graph.num_nodes(); ++u) {
+    for (const DenseId v : graph.Neighbors(u)) out[v].push_back(u);
+  }
+  return out;  // ascending already: u is visited in order
+}
+
+TEST_P(ParallelKernelsTest, InEdgesMatchNaiveTranspose) {
+  for (const GraphCase& c : DifferentialCases()) {
+    SCOPED_TRACE(c.name);
+    Load(c);
+    const auto want = NaiveInNeighbors(snapshot_);
+    for (const size_t threads : ThreadBudgets()) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      // A fresh snapshot per budget: the transpose is built only once.
+      const CsrSnapshot fresh = CsrSnapshot::FromStore(*store_);
+      const CsrSnapshot::Transpose& in = fresh.InEdges(threads, 4);
+      EXPECT_EQ(in.num_nodes(), fresh.num_nodes());
+      EXPECT_EQ(in.num_edges(), fresh.num_edges());
+      EXPECT_EQ(SortedInNeighbors(in), want);
+    }
+  }
+}
+
+// Several threads run parallel BFS at once on one fresh snapshot, racing
+// the transpose's first build: every depth vector must equal the one-lane
+// run, and the one transpose they built must be the one later calls get.
+// At average degree 8 the frontier's scout count crosses num_edges / 15
+// by the third level, so every parallel run takes a bottom-up step.
+TEST(ParallelKernelsTest, ConcurrentBfsCallsShareOneTranspose) {
+  constexpr uint64_t kNodes = 3000;
+  SplitMix64 rng(0xB0770Du);
+  std::vector<Edge> edges;
+  for (uint64_t i = 0; i < kNodes * 8; ++i) {
+    edges.push_back(Edge{rng.NextBelow(kNodes), rng.NextBelow(kNodes)});
+  }
+  const CsrSnapshot snapshot = CsrSnapshot::FromEdges(Span<const Edge>(edges));
+  const std::vector<NodeId> roots{edges[0].u, edges[1].u, edges[2].u,
+                                  edges[3].u};
+  std::vector<KernelResult> want;
+  for (const NodeId root : roots) {
+    want.push_back(
+        analytics::bfs::Run(snapshot, Span<const NodeId>(&root, 1)));
+  }
+
+  constexpr size_t kCallers = 4;
+  std::vector<std::vector<KernelResult>> got(kCallers);
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (size_t r = 0; r < roots.size(); ++r) {
+        const NodeId root = roots[(r + t) % roots.size()];
+        got[t].push_back(analytics::bfs::Run(
+            snapshot, Span<const NodeId>(&root, 1), OptsFor(2 + t % 3)));
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+
+  for (size_t t = 0; t < kCallers; ++t) {
+    SCOPED_TRACE("caller=" + std::to_string(t));
+    ASSERT_EQ(got[t].size(), roots.size());
+    for (size_t r = 0; r < roots.size(); ++r) {
+      ExpectExact(got[t][r], want[(r + t) % roots.size()], "bfs");
+    }
+  }
+  const CsrSnapshot::Transpose& in = snapshot.InEdges();
+  ASSERT_EQ(in.num_edges(), snapshot.num_edges());
+  EXPECT_EQ(SortedInNeighbors(in), NaiveInNeighbors(snapshot));
+  // Later calls, at any budget, return the same arrays.
+  const DenseId* sources = in.InNeighbors(0).data();
+  const NodeId root = roots[0];
+  analytics::bfs::Run(snapshot, Span<const NodeId>(&root, 1), OptsFor(4));
+  EXPECT_EQ(snapshot.InEdges(4, 4).InNeighbors(0).data(), sources);
 }
 
 TEST_P(ParallelKernelsTest, SsspDistancesMatchDijkstraAtEveryBudget) {
@@ -453,6 +546,31 @@ class EdgeCountDriftStub final : public GraphStore {
   baselines::HashMapStore backing_;
   mutable std::atomic<int> calls_{0};
 };
+
+TEST(ParallelKernelSnapshotTest, EmptyAndMovedFromSnapshotsHaveNoInEdges) {
+  const auto expect_empty = [](const CsrSnapshot& snapshot) {
+    const CsrSnapshot::Transpose& in = snapshot.InEdges(4, 1);
+    EXPECT_EQ(in.num_nodes(), 0u);
+    EXPECT_EQ(in.num_edges(), 0u);
+  };
+  expect_empty(CsrSnapshot());
+  expect_empty(CsrSnapshot::FromEdges({}));
+
+  const std::vector<Edge> edges{{1, 2}, {2, 3}, {3, 1}, {1, 3}};
+  CsrSnapshot built = CsrSnapshot::FromEdges(Span<const Edge>(edges));
+  CsrSnapshot moved_before_build = std::move(built);
+  expect_empty(built);  // NOLINT(bugprone-use-after-move): the contract
+  EXPECT_EQ(moved_before_build.InEdges().num_edges(), edges.size());
+
+  // A built transpose moves with its snapshot, arrays and all.
+  const DenseId* sources = moved_before_build.InEdges().InNeighbors(0).data();
+  CsrSnapshot moved_after_build;
+  moved_after_build = std::move(moved_before_build);
+  expect_empty(moved_before_build);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved_after_build.InEdges().InNeighbors(0).data(), sources);
+  EXPECT_EQ(SortedInNeighbors(moved_after_build.InEdges()),
+            NaiveInNeighbors(moved_after_build));
+}
 
 TEST(ParallelKernelSnapshotTest, ParallelBuildStillDetectsMidBuildDrift) {
   for (const size_t threads : {1u, 2u, 4u}) {

@@ -2,13 +2,22 @@
 // pipelining, torn-frame (1-byte-at-a-time) slow clients, protocol-error
 // disconnects, and the concurrency smoke the sim cannot provide — four
 // client threads driving pipelined CG.INSERT/CG.QUERY against a sharded
-// store, every reply checked against a single-threaded oracle. These
+// store, every reply checked against a single-threaded oracle, and fd
+// exhaustion (clients refused without spinning the acceptor). These
 // suites run under the CI TSan job (see the -R filter in ci.yml).
+#include <arpa/inet.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -19,6 +28,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/errno_string.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "core/sharded_cuckoo_graph.h"
@@ -334,6 +344,81 @@ TEST_F(TcpRespServerTest, SignalStormDoesNotDisruptService) {
   storm.join();
   ASSERT_EQ(sigaction(SIGUSR1, &previous, nullptr), 0);
   EXPECT_EQ(store_.NumEdges(), 400u);
+}
+
+double ProcessCpuSeconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) / 1e9;
+}
+
+TEST_F(TcpRespServerTest, OutOfFdsRefusesClientsWithoutSpinning) {
+  StartServer(1);
+  // Lower this process's fd limit a few fds above what is open now, and
+  // fill the gap with client sockets: the server then has no fd left to
+  // accept into. Both the limit and the sockets are undone on every way
+  // out, so a failed ASSERT cannot starve the rest of the run.
+  struct Restore {
+    rlimit limit{};
+    std::vector<int> fds;
+    ~Restore() {
+      for (const int fd : fds) ::close(fd);
+      ::setrlimit(RLIMIT_NOFILE, &limit);
+    }
+  } restore;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &restore.limit), 0);
+  const int lowest_free = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit low = restore.limit;
+  low.rlim_cur = static_cast<rlim_t>(lowest_free) + 4;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  while (true) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0) {
+      ASSERT_EQ(errno, EMFILE);
+      break;
+    }
+    restore.fds.push_back(fd);
+    ASSERT_LE(restore.fds.size(), 4u);
+  }
+  ASSERT_GE(restore.fds.size(), 2u);
+
+  // Two clients connect (the handshake completes in the kernel backlog)
+  // and must each be accepted and closed, while the server stays idle.
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server_->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const double cpu_start = ProcessCpuSeconds();
+  for (size_t i = 0; i < 2; ++i) {
+    ASSERT_EQ(::connect(restore.fds[i], reinterpret_cast<sockaddr*>(&addr),
+                        sizeof(addr)),
+              0)
+        << ErrnoString(errno);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double cpu_s = ProcessCpuSeconds() - cpu_start;
+  EXPECT_EQ(server_->stats().connections_refused, 2u);
+  EXPECT_EQ(server_->stats().connections_accepted, 0u);
+  // A spinning acceptor burns a core for the whole 300 ms window.
+  EXPECT_LT(cpu_s, 0.1) << "the acceptor spun on the readable listener";
+  for (size_t i = 0; i < 2; ++i) {
+    pollfd pfd{restore.fds[i], POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 2000), 1) << "refused client never closed";
+    char byte;
+    EXPECT_LE(::recv(restore.fds[i], &byte, 1, 0), 0);  // EOF or reset
+  }
+
+  // With fds back, a new client is served.
+  for (const int fd : restore.fds) ::close(fd);
+  restore.fds.clear();
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &restore.limit), 0);
+  RespClient client = Connect();
+  EXPECT_EQ(client.Execute({"CG.INSERT", "1", "2"}).integer, 1);
+  EXPECT_EQ(server_->stats().connections_refused, 2u);
+  EXPECT_EQ(server_->stats().connections_accepted, 1u);
 }
 
 }  // namespace
