@@ -1,11 +1,13 @@
 // Google-benchmark microbenchmarks of the core CuckooGraph operations:
 // per-op latency of insert/query/delete/successor iteration at several
-// graph sizes, plus the raw BobHash and cuckoo-table primitives. These back
-// the per-op numbers quoted in EXPERIMENTS.md.
+// graph sizes, plus the raw BobHash and cuckoo-table primitives, and the
+// RESP protocol layer's cost per served command. These back the per-op
+// numbers quoted in docs/PERFORMANCE.md.
 #include <benchmark/benchmark.h>
 
 #include <functional>
 #include <queue>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -17,6 +19,9 @@
 #include "core/internal/simd_probe.h"
 #include "core/sharded_cuckoo_graph.h"
 #include "core/weighted_cuckoo_graph.h"
+#include "redis_sim/command_table.h"
+#include "redis_sim/cuckoograph_module.h"
+#include "redis_sim/resp.h"
 
 namespace cuckoograph {
 namespace {
@@ -418,6 +423,59 @@ void BM_ShardedQueryEdge(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ShardedQueryEdge)->Arg(100'000);
+
+// ---- The served path's protocol cost: RESP parse + dispatch + reply ----
+// BM_RespFeedPipelined feeds 32-deep pipelined CG.QUERY batches through
+// RespConnection::Feed over a CuckooGraph; BM_RespFeedBareQuery makes the
+// same QueryEdge calls directly. The gap is the protocol layer's cost per
+// command.
+constexpr size_t kRespBatch = 32;
+
+void BM_RespFeedPipelined(benchmark::State& state) {
+  const auto workload = MakeWorkload(static_cast<size_t>(state.range(0)));
+  CuckooGraph graph;
+  for (const Edge& e : workload) graph.InsertEdge(e.u, e.v);
+  redis_sim::CommandTable table;
+  redis_sim::RegisterGraphCommands(&table, &graph);
+  redis_sim::RespConnection conn(&table);
+  std::vector<std::string> batches(workload.size() / kRespBatch);
+  for (size_t i = 0; i < batches.size() * kRespBatch; ++i) {
+    batches[i / kRespBatch] += redis_sim::EncodeCommand(
+        {"CG.QUERY", std::to_string(workload[i].u),
+         std::to_string(workload[i].v)});
+  }
+  std::string out;
+  size_t b = 0;
+  for (auto _ : state) {
+    out.clear();
+    if (!conn.Feed(batches[b++ % batches.size()], &out)) {
+      state.SkipWithError("protocol error");
+      break;
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kRespBatch));
+}
+BENCHMARK(BM_RespFeedPipelined)->Arg(100'000);
+
+void BM_RespFeedBareQuery(benchmark::State& state) {
+  const auto workload = MakeWorkload(static_cast<size_t>(state.range(0)));
+  CuckooGraph graph;
+  for (const Edge& e : workload) graph.InsertEdge(e.u, e.v);
+  const size_t num_batches = workload.size() / kRespBatch;
+  size_t b = 0;
+  for (auto _ : state) {
+    const Edge* batch = &workload[(b++ % num_batches) * kRespBatch];
+    for (size_t i = 0; i < kRespBatch; ++i) {
+      benchmark::DoNotOptimize(graph.QueryEdge(batch[i].u, batch[i].v));
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kRespBatch));
+}
+BENCHMARK(BM_RespFeedBareQuery)->Arg(100'000);
 
 void BM_WeightedAdd(benchmark::State& state) {
   WeightedCuckooGraph graph;

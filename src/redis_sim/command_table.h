@@ -6,25 +6,26 @@
 //
 //  - CommandTable: command registration (case-insensitive name, Redis
 //    arity semantics) and request dispatch. One table serves every
-//    connection; its counters are atomic because the TCP server's worker
-//    threads dispatch into a shared table concurrently.
+//    connection; once registered it is read-only, so the TCP server's
+//    worker threads dispatch into it concurrently without writing any
+//    shared state.
 //  - RespConnection: everything that is per-connection — the incremental
-//    RESP2 parse buffer, reply encoding, protocol-error handling and
-//    byte/reply accounting. A transport owns one RespConnection per
-//    client and feeds it whatever byte fragments arrive.
+//    RESP2 parse state, protocol-error handling and the command, error
+//    and byte counters. A transport owns one RespConnection per client
+//    and feeds it whatever byte fragments arrive.
 //
-// Handlers receive their argv as Span<const std::string_view> views into
-// the connection's parse storage: valid only for the duration of the
-// call, never copied on the way in.
+// A served command allocates nothing: its argv are views into the bytes
+// being fed (or the connection's buffered partial request), held in one
+// reused vector per connection, and its handler appends the reply
+// straight onto the caller's output buffer, the way Redis's addReply*
+// family writes into the client buffer.
 #ifndef CUCKOOGRAPH_REDIS_SIM_COMMAND_TABLE_H_
 #define CUCKOOGRAPH_REDIS_SIM_COMMAND_TABLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/span.h"
@@ -40,11 +41,12 @@ namespace cuckoograph::redis_sim {
 class CommandTable {
  public:
   // A registered command body. `argv` is the full request (argv[0] is
-  // the command name as the client sent it); the returned value is
-  // encoded as the reply. The views borrow the connection's parse
-  // buffers — copy anything that must outlive the call.
+  // the command name as the client sent it); the handler appends exactly
+  // one reply to *out with the resp.h appenders (AppendInteger,
+  // AppendError, AppendBulk, ...). The views borrow the connection's
+  // parse buffers — copy anything that must outlive the call.
   using CommandHandler =
-      std::function<RespValue(Span<const std::string_view> argv)>;
+      std::function<void(Span<const std::string_view> argv, std::string* out)>;
 
   // Registers `name` (matched case-insensitively) with Redis arity
   // semantics: a positive `arity` requires exactly that many argv
@@ -54,32 +56,32 @@ class CommandTable {
   bool RegisterCommand(std::string_view name, int arity,
                        CommandHandler handler);
 
-  // Dispatches one parsed request (argv must be non-empty) and returns
-  // its reply value: unknown-command and wrong-arity requests produce
-  // error replies without reaching a handler.
+  // Dispatches one parsed request (argv must be non-empty), appending its
+  // reply to *out; unknown-command and wrong-arity requests get error
+  // replies without reaching a handler. Returns false exactly when the
+  // appended reply is an error.
+  bool Dispatch(Span<const std::string_view> argv, std::string* out) const;
+
+  // The same dispatch with the reply decoded, for in-process callers.
+  // An integer reply costs no heap allocation.
   RespValue Dispatch(Span<const std::string_view> argv) const;
 
   // Registered command names (uppercased), in registration order.
   std::vector<std::string> CommandNames() const;
 
-  // Counters summed over every connection dispatching into this table.
-  uint64_t commands_dispatched() const {  // handler invocations
-    return dispatched_.load(std::memory_order_relaxed);
-  }
-  uint64_t dispatch_errors() const {  // unknown/arity/handler error replies
-    return dispatch_errors_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct CommandEntry {
+    std::string name;  // uppercase
     int arity = 0;
     CommandHandler handler;
   };
 
-  std::unordered_map<std::string, CommandEntry> commands_;  // key: UPPERCASE
-  std::vector<std::string> registration_order_;
-  mutable std::atomic<uint64_t> dispatched_{0};
-  mutable std::atomic<uint64_t> dispatch_errors_{0};
+  // The entry whose name equals `name` ignoring ASCII case, or null. A
+  // linear scan: a table holds a handful of commands (the CG.* family is
+  // six), and the length check rejects most of them without a compare.
+  const CommandEntry* Find(std::string_view name) const;
+
+  std::vector<CommandEntry> commands_;  // registration order
 };
 
 // One client connection's protocol state machine. Stateful like a
@@ -99,9 +101,11 @@ class RespConnection {
   // transport should close after flushing, as Redis does. An in-process
   // caller may keep feeding; the next Feed starts clean.
   //
-  // An inline request line, or a multibulk/bulk length header, that
-  // passes kMaxInlineLen bytes without its terminator is a protocol
-  // error (resp.h), so no unterminated line grows the buffer unbounded.
+  // Complete requests are served straight from `bytes` when nothing is
+  // buffered; only an incomplete trailing request is copied. An inline
+  // request line, or a multibulk/bulk length header, that passes
+  // kMaxInlineLen bytes without its terminator is a protocol error
+  // (resp.h), so no unterminated line grows the buffer unbounded.
   bool Feed(std::string_view bytes, std::string* out);
 
   struct Stats {
@@ -118,7 +122,8 @@ class RespConnection {
 
  private:
   const CommandTable* table_;
-  std::string buffer_;  // unconsumed request bytes between Feed calls
+  std::string buffer_;  // an incomplete trailing request between Feeds
+  std::vector<std::string_view> argv_;  // reused parse output
   Stats stats_;
 };
 

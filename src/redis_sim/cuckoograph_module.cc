@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -32,52 +31,45 @@ const char kNotAnInteger[] = "ERR value is not an integer or out of range";
 
 void RegisterGraphCommands(CommandTable* table, GraphStore* store) {
   // The u-v commands share one parse-then-call shape.
-  const auto edge_command = [table, store](const char* name,
-                                           bool (GraphStore::*op)(NodeId,
-                                                                  NodeId)) {
+  const auto edge_command = [table](const char* name, auto op) {
     table->RegisterCommand(
-        name, 3, [store, op](Span<const std::string_view> argv) {
+        name, 3, [op](Span<const std::string_view> argv, std::string* out) {
           NodeId u = 0, v = 0;
           if (!ParseNodeId(argv[1], &u) || !ParseNodeId(argv[2], &v)) {
-            return RespValue::Error(kNotAnInteger);
+            return AppendError(out, kNotAnInteger);
           }
-          return RespValue::Integer((store->*op)(u, v) ? 1 : 0);
+          AppendInteger(out, op(u, v) ? 1 : 0);
         });
   };
-  edge_command("CG.INSERT", &GraphStore::InsertEdge);
-  edge_command("CG.DEL", &GraphStore::DeleteEdge);
-  edge_command("CG.DELETE", &GraphStore::DeleteEdge);
+  const auto del = [store](NodeId u, NodeId v) {
+    return store->DeleteEdge(u, v);
+  };
+  edge_command("CG.INSERT",
+               [store](NodeId u, NodeId v) { return store->InsertEdge(u, v); });
+  edge_command("CG.DEL", del);
+  edge_command("CG.DELETE", del);
+  edge_command("CG.QUERY",
+               [store](NodeId u, NodeId v) { return store->QueryEdge(u, v); });
 
-  // QueryEdge is const, so it does not fit the mutating-op shape above.
   table->RegisterCommand(
-      "CG.QUERY", 3, [store](Span<const std::string_view> argv) {
-        NodeId u = 0, v = 0;
-        if (!ParseNodeId(argv[1], &u) || !ParseNodeId(argv[2], &v)) {
-          return RespValue::Error(kNotAnInteger);
-        }
-        return RespValue::Integer(store->QueryEdge(u, v) ? 1 : 0);
+      "CG.DEGREE", 2,
+      [store](Span<const std::string_view> argv, std::string* out) {
+        NodeId u = 0;
+        if (!ParseNodeId(argv[1], &u)) return AppendError(out, kNotAnInteger);
+        AppendInteger(out, static_cast<long long>(store->OutDegree(u)));
       });
 
   table->RegisterCommand(
-      "CG.DEGREE", 2, [store](Span<const std::string_view> argv) {
+      "CG.NEIGHBORS", 2,
+      [store](Span<const std::string_view> argv, std::string* out) {
         NodeId u = 0;
-        if (!ParseNodeId(argv[1], &u)) {
-          return RespValue::Error(kNotAnInteger);
-        }
-        return RespValue::Integer(static_cast<long long>(store->OutDegree(u)));
-      });
-
-  table->RegisterCommand(
-      "CG.NEIGHBORS", 2, [store](Span<const std::string_view> argv) {
-        NodeId u = 0;
-        if (!ParseNodeId(argv[1], &u)) {
-          return RespValue::Error(kNotAnInteger);
-        }
-        std::vector<RespValue> elements;
-        store->ForEachNeighbor(u, [&elements](NodeId v) {
-          elements.push_back(RespValue::Bulk(std::to_string(v)));
-        });
-        return RespValue::Array(std::move(elements));
+        if (!ParseNodeId(argv[1], &u)) return AppendError(out, kNotAnInteger);
+        // The array header carries the count, so collect before appending.
+        std::vector<NodeId> successors;
+        store->ForEachNeighbor(
+            u, [&successors](NodeId v) { successors.push_back(v); });
+        AppendArrayHeader(out, successors.size());
+        for (const NodeId v : successors) AppendBulk(out, std::to_string(v));
       });
 }
 

@@ -1,6 +1,8 @@
 #include "redis_sim/resp.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -8,9 +10,19 @@ namespace cuckoograph::redis_sim {
 namespace {
 
 // Locates the CRLF terminating the header line that starts at `pos`:
-// the index of '\r', or npos when the buffer ends before a full CRLF.
-size_t FindCrlf(std::string_view bytes, size_t pos) {
-  return bytes.find("\r\n", pos);
+// the index of its '\r', or npos when no full CRLF lies before `end`
+// (clamped to the buffer). One memchr per '\r', with no memcmp after it.
+size_t FindCrlf(std::string_view bytes, size_t pos,
+                size_t end = std::string_view::npos) {
+  const char* const data = bytes.data();
+  const char* const stop = data + std::min(end, bytes.size());
+  for (const char* cr = data + pos;
+       (cr = static_cast<const char*>(std::memchr(cr, '\r', stop - cr))) !=
+       nullptr;
+       ++cr) {
+    if (cr + 1 < stop && cr[1] == '\n') return static_cast<size_t>(cr - data);
+  }
+  return std::string_view::npos;
 }
 
 // Parses the decimal integer spanning [pos, line_end). Strict: optional
@@ -170,103 +182,96 @@ ParseResult ParseAt(std::string_view bytes, size_t pos, size_t* end) {
   }
 }
 
-}  // namespace
-
-RespValue RespValue::Simple(std::string s) {
-  RespValue v;
-  v.type = RespType::kSimpleString;
-  v.text = std::move(s);
-  return v;
-}
-
-RespValue RespValue::Error(std::string message) {
-  RespValue v;
-  v.type = RespType::kError;
-  v.text = std::move(message);
-  return v;
-}
-
-RespValue RespValue::Integer(long long value) {
-  RespValue v;
-  v.type = RespType::kInteger;
-  v.integer = value;
-  return v;
-}
-
-RespValue RespValue::Bulk(std::string payload) {
-  RespValue v;
-  v.type = RespType::kBulkString;
-  v.text = std::move(payload);
-  return v;
-}
-
-RespValue RespValue::Null() { return RespValue{}; }
-
-RespValue RespValue::Array(std::vector<RespValue> elements) {
-  RespValue v;
-  v.type = RespType::kArray;
-  v.elements = std::move(elements);
-  return v;
-}
-
-namespace {
-
 // Line-framed payloads (simple strings, errors) cannot contain CR/LF —
 // one would split the frame and desync the stream. Redis sanitizes error
 // text the same way; bulk strings are length-prefixed and stay verbatim.
-void AppendLineSafe(std::string* out, const std::string& text) {
-  for (const char c : text) {
-    *out += (c == '\r' || c == '\n') ? ' ' : c;
+void AppendLine(std::string* out, char type, std::string_view text) {
+  const size_t start = out->size();
+  *out += type;
+  out->append(text.data(), text.size());
+  for (size_t i = start + 1; i < out->size(); ++i) {
+    if ((*out)[i] == '\r' || (*out)[i] == '\n') (*out)[i] = ' ';
+  }
+  out->append("\r\n", 2);
+}
+
+// "<type><n>\r\n", formatted without a temporary string.
+void AppendHeader(std::string* out, char type, long long n) {
+  char buf[24];
+  buf[0] = type;
+  char* end = std::to_chars(buf + 1, buf + sizeof(buf) - 2, n).ptr;
+  *end++ = '\r';
+  *end++ = '\n';
+  out->append(buf, static_cast<size_t>(end - buf));
+}
+
+void AppendValue(std::string* out, const RespValue& value) {
+  switch (value.type) {
+    case RespType::kSimpleString:
+      AppendSimple(out, value.text);
+      break;
+    case RespType::kError:
+      AppendError(out, value.text);
+      break;
+    case RespType::kInteger:
+      AppendInteger(out, value.integer);
+      break;
+    case RespType::kBulkString:
+      AppendBulk(out, value.text);
+      break;
+    case RespType::kNull:
+      out->append("$-1\r\n", 5);
+      break;
+    case RespType::kArray:
+      AppendArrayHeader(out, value.elements.size());
+      for (const RespValue& element : value.elements) {
+        AppendValue(out, element);
+      }
+      break;
   }
 }
 
 }  // namespace
 
+void AppendSimple(std::string* out, std::string_view text) {
+  AppendLine(out, '+', text);
+}
+
+void AppendError(std::string* out, std::string_view message) {
+  AppendLine(out, '-', message);
+}
+
+void AppendInteger(std::string* out, long long value) {
+  // Redis's shared.czero / shared.cone: the two replies every CG.* edge
+  // command answers with.
+  if (value == 0 || value == 1) {
+    out->append(value == 0 ? ":0\r\n" : ":1\r\n", 4);
+    return;
+  }
+  AppendHeader(out, ':', value);
+}
+
+void AppendBulk(std::string* out, std::string_view payload) {
+  AppendHeader(out, '$', static_cast<long long>(payload.size()));
+  out->append(payload.data(), payload.size());
+  out->append("\r\n", 2);
+}
+
+void AppendArrayHeader(std::string* out, size_t count) {
+  AppendHeader(out, '*', static_cast<long long>(count));
+}
+
 std::string Encode(const RespValue& value) {
   std::string out;
-  switch (value.type) {
-    case RespType::kSimpleString:
-      out += '+';
-      AppendLineSafe(&out, value.text);
-      out += "\r\n";
-      break;
-    case RespType::kError:
-      out += '-';
-      AppendLineSafe(&out, value.text);
-      out += "\r\n";
-      break;
-    case RespType::kInteger:
-      out += ':';
-      out += std::to_string(value.integer);
-      out += "\r\n";
-      break;
-    case RespType::kBulkString:
-      out += '$';
-      out += std::to_string(value.text.size());
-      out += "\r\n";
-      out += value.text;
-      out += "\r\n";
-      break;
-    case RespType::kNull:
-      out += "$-1\r\n";
-      break;
-    case RespType::kArray:
-      out += '*';
-      out += std::to_string(value.elements.size());
-      out += "\r\n";
-      for (const RespValue& element : value.elements) {
-        out += Encode(element);
-      }
-      break;
-  }
+  AppendValue(&out, value);
   return out;
 }
 
 std::string EncodeCommand(const std::vector<std::string>& argv) {
-  std::vector<RespValue> elements;
-  elements.reserve(argv.size());
-  for (const std::string& arg : argv) elements.push_back(RespValue::Bulk(arg));
-  return Encode(RespValue::Array(std::move(elements)));
+  std::string out;
+  AppendArrayHeader(&out, argv.size());
+  for (const std::string& arg : argv) AppendBulk(&out, arg);
+  return out;
 }
 
 ParseResult ParseValue(std::string_view bytes) {
@@ -290,14 +295,14 @@ CommandParse CommandError(std::string message) {
 // search covers at most kMaxInlineLen line bytes plus the CRLF; once
 // that many bytes have arrived with no terminator, *too_long is set.
 size_t FindRequestCrlf(std::string_view bytes, size_t pos, bool* too_long) {
-  const std::string_view window = bytes.substr(pos, kMaxInlineLen + 2);
-  const size_t crlf = window.find("\r\n");
-  if (crlf != std::string_view::npos) return pos + crlf;
-  *too_long = window.size() == kMaxInlineLen + 2;
-  return std::string_view::npos;
+  const size_t end = pos + kMaxInlineLen + 2;
+  const size_t crlf = FindCrlf(bytes, pos, end);
+  *too_long = crlf == std::string_view::npos && bytes.size() >= end;
+  return crlf;
 }
 
-CommandParse ParseInlineCommand(std::string_view bytes) {
+CommandParse ParseInlineCommand(std::string_view bytes,
+                                std::vector<std::string_view>* argv) {
   const size_t lf = bytes.substr(0, kMaxInlineLen + 1).find('\n');
   if (lf == std::string_view::npos) {
     if (bytes.size() > kMaxInlineLen) {
@@ -316,7 +321,7 @@ CommandParse ParseInlineCommand(std::string_view bytes) {
     size_t start = pos;
     while (pos < line_end && bytes[pos] != ' ' && bytes[pos] != '\t') ++pos;
     if (pos > start) {
-      result.argv.emplace_back(bytes.substr(start, pos - start));
+      argv->push_back(bytes.substr(start, pos - start));
     }
   }
   return result;
@@ -325,7 +330,8 @@ CommandParse ParseInlineCommand(std::string_view bytes) {
 // A multibulk request: "*<count>\r\n" then <count> bulk strings, parsed
 // the way Redis's processMultibulkBuffer does — each element must start
 // with '$', checked as soon as its first byte arrives.
-CommandParse ParseMultibulkCommand(std::string_view bytes) {
+CommandParse ParseMultibulkCommand(std::string_view bytes,
+                                   std::vector<std::string_view>* argv) {
   bool too_long = false;
   const size_t count_end = FindRequestCrlf(bytes, 1, &too_long);
   if (too_long) {
@@ -339,9 +345,6 @@ CommandParse ParseMultibulkCommand(std::string_view bytes) {
     return CommandError("Protocol error: invalid multibulk length");
   }
   CommandParse result;
-  // Clamp the reserve: a header claiming a huge count must not allocate
-  // before its (missing) elements arrive.
-  result.argv.reserve(static_cast<size_t>(std::min(count, 1024LL)));
   size_t cursor = count_end + 2;
   for (long long i = 0; i < count; ++i) {
     if (cursor >= bytes.size()) return CommandParse{};
@@ -364,7 +367,7 @@ CommandParse ParseMultibulkCommand(std::string_view bytes) {
     const ParseStatus framed = FrameBulkPayload(bytes, len_end, body, &next);
     if (framed == ParseStatus::kIncomplete) return CommandParse{};
     if (framed == ParseStatus::kError) return CommandError(kBulkNotTerminated);
-    result.argv.emplace_back(bytes.substr(len_end + 2, body));
+    argv->push_back(bytes.substr(len_end + 2, body));
     cursor = next;
   }
   result.status = ParseStatus::kOk;
@@ -374,10 +377,12 @@ CommandParse ParseMultibulkCommand(std::string_view bytes) {
 
 }  // namespace
 
-CommandParse ParseCommand(std::string_view bytes) {
+CommandParse ParseCommand(std::string_view bytes,
+                          std::vector<std::string_view>* argv) {
+  argv->clear();
   if (bytes.empty()) return CommandParse{};
-  if (bytes[0] == '*') return ParseMultibulkCommand(bytes);
-  return ParseInlineCommand(bytes);
+  if (bytes[0] == '*') return ParseMultibulkCommand(bytes, argv);
+  return ParseInlineCommand(bytes, argv);
 }
 
 }  // namespace cuckoograph::redis_sim

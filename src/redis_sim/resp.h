@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace cuckoograph::redis_sim {
@@ -53,17 +54,38 @@ struct RespValue {
   long long integer = 0;
   std::vector<RespValue> elements;
 
-  static RespValue Simple(std::string s);
-  static RespValue Error(std::string message);
-  static RespValue Integer(long long value);
-  static RespValue Bulk(std::string payload);
-  static RespValue Null();
-  static RespValue Array(std::vector<RespValue> elements);
+  static RespValue Simple(std::string s) {
+    return {RespType::kSimpleString, std::move(s), 0, {}};
+  }
+  static RespValue Error(std::string message) {
+    return {RespType::kError, std::move(message), 0, {}};
+  }
+  static RespValue Integer(long long value) {
+    return {RespType::kInteger, {}, value, {}};
+  }
+  static RespValue Bulk(std::string payload) {
+    return {RespType::kBulkString, std::move(payload), 0, {}};
+  }
+  static RespValue Null() { return {}; }
+  static RespValue Array(std::vector<RespValue> elements) {
+    return {RespType::kArray, {}, 0, std::move(elements)};
+  }
 
   bool IsError() const { return type == RespType::kError; }
 };
 
-// Serializes `value` to its RESP2 wire form.
+// Reply appenders, Redis's addReply* family: each appends one value's
+// RESP2 wire form to *out without building a RespValue or a temporary
+// string. Integer 0 and 1 copy shared pre-encoded ":0\r\n" / ":1\r\n".
+// Line-framed text (simple strings, errors) has CR/LF replaced by spaces,
+// since either would split the frame; bulk payloads stay verbatim.
+void AppendSimple(std::string* out, std::string_view text);
+void AppendError(std::string* out, std::string_view message);
+void AppendInteger(std::string* out, long long value);
+void AppendBulk(std::string* out, std::string_view payload);
+void AppendArrayHeader(std::string* out, size_t count);
+
+// Serializes `value` to its RESP2 wire form through the appenders above.
 std::string Encode(const RespValue& value);
 
 // Encodes a client request: an array of bulk strings, one per argument
@@ -90,19 +112,22 @@ ParseResult ParseValue(std::string_view bytes);
 
 struct CommandParse {
   ParseStatus status = ParseStatus::kIncomplete;
-  std::vector<std::string> argv;  // command name + arguments (kOk only)
-  size_t consumed = 0;
-  std::string error;
+  size_t consumed = 0;  // bytes the request occupied (kOk only)
+  std::string error;    // set when status == kError
 };
 
 // Decodes one client request from the front of `bytes`: a '*'-prefixed
 // multibulk request (every element must be a bulk string), or an inline
 // command — a bare line split on spaces/tabs, terminated by LF or CRLF.
 // Lines are capped at kMaxInlineLen, bulk payloads at kMaxBulkLen and
-// element counts at kMaxMultibulkLen.
+// element counts at kMaxMultibulkLen. The command name and arguments go
+// to *argv as views into `bytes` (meaningful on kOk only); *argv is
+// cleared first, so a caller reusing one vector allocates nothing once
+// it has grown.
 // A kOk result with empty argv (empty multibulk or blank inline line) is
 // a no-op request the server skips without replying, matching Redis.
-CommandParse ParseCommand(std::string_view bytes);
+CommandParse ParseCommand(std::string_view bytes,
+                          std::vector<std::string_view>* argv);
 
 }  // namespace cuckoograph::redis_sim
 

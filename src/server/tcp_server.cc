@@ -7,7 +7,6 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -20,16 +19,19 @@ namespace {
 
 constexpr int kMaxEpollEvents = 64;
 constexpr size_t kReadChunk = 16 * 1024;
-// Pending reply buffers gathered into one sendmsg call. Well under
-// IOV_MAX (1024 on Linux); deeper queues just take another iteration of
-// the flush loop.
-constexpr size_t kMaxFlushIovecs = 64;
 
 std::string Errno(const char* what) {
   return std::string(what) + ": " + ErrnoString(errno);
 }
 
 int OpenReserveFd() { return ::open("/dev/null", O_RDONLY | O_CLOEXEC); }
+
+// Bumps a counter only its owning worker writes: a relaxed load + store
+// instead of a locked read-modify-write.
+void AddOwned(std::atomic<uint64_t>* counter, uint64_t n) {
+  counter->store(counter->load(std::memory_order_relaxed) + n,
+                 std::memory_order_relaxed);
+}
 
 }  // namespace
 
@@ -144,18 +146,17 @@ void TcpRespServer::Stop() {
     }
     worker->conns.clear();
     {
-      // The worker threads are joined (or were never started on a
-      // failed Start), but the acceptor in another still-running
-      // server instance is not a thing we need to reason about — take
-      // the lock and let the analysis prove every inbox access.
+      // The threads are joined; the lock only lets the analysis prove it.
       MutexLock lock(&worker->inbox_mu);
       for (const int fd : worker->inbox) ::close(fd);
       worker->inbox.clear();
     }
+    // The workers themselves stay until the next Start, so stats()
+    // still reports their byte counters after a Stop.
     if (worker->wake_fd >= 0) ::close(worker->wake_fd);
     if (worker->epoll_fd >= 0) ::close(worker->epoll_fd);
+    worker->wake_fd = worker->epoll_fd = -1;
   }
-  workers_.clear();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -172,8 +173,11 @@ TcpRespServer::Stats TcpRespServer::stats() const {
   stats.connections_closed = closed_.load(std::memory_order_relaxed);
   stats.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   stats.connections_refused = refused_.load(std::memory_order_relaxed);
-  stats.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-  stats.bytes_out = bytes_out_.load(std::memory_order_relaxed);
+  for (const auto& worker : workers_) {
+    stats.bytes_in += worker->bytes_in.load(std::memory_order_relaxed);
+    stats.bytes_out += worker->bytes_out.load(std::memory_order_relaxed);
+    stats.read_pauses += worker->read_pauses.load(std::memory_order_relaxed);
+  }
   return stats;
 }
 
@@ -204,14 +208,10 @@ void TcpRespServer::WorkerLoop(Worker* worker, bool owns_listener) {
       // prior event already closed — look it up fresh every time.
       const auto it = worker->conns.find(fd);
       if (it == worker->conns.end()) continue;
-      Connection* connection = it->second.get();
       if (events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) {
-        HandleReadable(worker, connection);
-      }
-      const auto again = worker->conns.find(fd);
-      if (again == worker->conns.end()) continue;
-      if (events[i].events & EPOLLOUT) {
-        FlushWrites(worker, again->second.get());
+        HandleReadable(worker, it->second.get());  // flushes as well
+      } else if (events[i].events & EPOLLOUT) {
+        FlushWrites(worker, it->second.get());
       }
     }
   }
@@ -236,18 +236,14 @@ void TcpRespServer::AcceptPending() {
     const size_t target = next_worker_.fetch_add(1, std::memory_order_relaxed) %
                           workers_.size();
     Worker* worker = workers_[target].get();
+    {
+      MutexLock lock(&worker->inbox_mu);
+      worker->inbox.push_back(fd);
+    }
+    // The acceptor is worker 0's loop; it adopts without a wakeup.
     if (target == 0) {
-      // The acceptor is worker 0's loop; adopt without the inbox hop.
-      {
-        MutexLock lock(&worker->inbox_mu);
-        worker->inbox.push_back(fd);
-      }
       AdoptInbox(worker);
     } else {
-      {
-        MutexLock lock(&worker->inbox_mu);
-        worker->inbox.push_back(fd);
-      }
       RingWakeFd(worker->wake_fd);
     }
   }
@@ -279,7 +275,7 @@ void TcpRespServer::AdoptInbox(Worker* worker) {
   for (const int fd : adopted) {
     auto connection = std::make_unique<Connection>(fd, table_);
     epoll_event ev{};
-    ev.events = EPOLLIN;
+    ev.events = connection->events = EPOLLIN;
     ev.data.fd = fd;
     if (::epoll_ctl(worker->epoll_fd, EPOLL_CTL_ADD, fd, &ev) < 0) {
       ::close(fd);
@@ -291,120 +287,77 @@ void TcpRespServer::AdoptInbox(Worker* worker) {
 }
 
 void TcpRespServer::HandleReadable(Worker* worker, Connection* connection) {
+  // One recv per readiness event: the fd is level-triggered, so bytes
+  // left in the socket signal again on the next epoll_wait.
   char buffer[kReadChunk];
-  bool eof = false;
-  while (true) {
-    const ssize_t n = ::recv(connection->fd, buffer, sizeof(buffer), 0);
-    if (n > 0) {
-      bytes_in_.fetch_add(static_cast<uint64_t>(n),
-                          std::memory_order_relaxed);
-      std::string replies;
-      const bool clean = connection->conn.Feed(
-          std::string_view(buffer, static_cast<size_t>(n)), &replies);
-      if (!replies.empty()) {
-        // One queue entry per parsed chunk: a pipelined burst's replies
-        // already share this buffer, and the flush path gathers the
-        // whole queue into a single sendmsg anyway.
-        connection->out.push_back(std::move(replies));
-      }
-      if (!clean) {
-        // Framing error: the -ERR reply is queued; drop the client after
-        // the flush, as a real Redis does.
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        connection->close_after_flush = true;
-        break;
-      }
-      continue;
-    }
-    if (n == 0) {  // client finished sending; flush replies, then close
-      eof = true;
-      break;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+  ssize_t n;
+  do {
+    n = ::recv(connection->fd, buffer, sizeof(buffer), 0);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
     CloseConnection(worker, connection);  // hard socket error
     return;
   }
-  if (eof || connection->close_after_flush) {
+  if (n == 0) {
+    // The client finished sending: flush its replies, then close.
     connection->close_after_flush = true;
-    if (!HasPendingWrites(*connection)) {
-      CloseConnection(worker, connection);
-      return;
+  } else if (n > 0) {
+    AddOwned(&worker->bytes_in, static_cast<uint64_t>(n));
+    const std::string_view bytes(buffer, static_cast<size_t>(n));
+    if (!connection->conn.Feed(bytes, &connection->out)) {
+      // Framing error: the -ERR reply is buffered; drop the client after
+      // the flush, as a real Redis does.
+      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      connection->close_after_flush = true;
     }
-    // Stop watching for reads (an EOF'd socket stays level-readable
-    // forever) and let the flush path close once the replies drain.
-    connection->writable_armed = true;
-    UpdateEpollInterest(worker, connection);
   }
   FlushWrites(worker, connection);
 }
 
 void TcpRespServer::FlushWrites(Worker* worker, Connection* connection) {
-  while (HasPendingWrites(*connection)) {
-    // Gather every pending reply buffer (the front one offset by the
-    // partial-write cursor) into a single scatter/gather syscall —
-    // sendmsg rather than writev so MSG_NOSIGNAL still applies.
-    iovec iov[kMaxFlushIovecs];
-    size_t iov_count = 0;
-    size_t offset = connection->out_pos;
-    for (const std::string& pending : connection->out) {
-      if (iov_count == kMaxFlushIovecs) break;
-      iov[iov_count].iov_base =
-          const_cast<char*>(pending.data()) + offset;
-      iov[iov_count].iov_len = pending.size() - offset;
-      ++iov_count;
-      offset = 0;
-    }
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = iov_count;
-    const ssize_t n = ::sendmsg(connection->fd, &msg, MSG_NOSIGNAL);
+  std::string& out = connection->out;
+  while (connection->out_pos < out.size()) {
+    const ssize_t n =
+        ::send(connection->fd, out.data() + connection->out_pos,
+               out.size() - connection->out_pos, MSG_NOSIGNAL);
     if (n > 0) {
-      bytes_out_.fetch_add(static_cast<uint64_t>(n),
-                           std::memory_order_relaxed);
-      // Retire fully written buffers; a short write leaves the cursor
-      // mid-buffer for the next pass.
-      size_t written = static_cast<size_t>(n);
-      while (written > 0) {
-        std::string& front = connection->out.front();
-        const size_t left = front.size() - connection->out_pos;
-        if (written < left) {
-          connection->out_pos += written;
-          break;
-        }
-        written -= left;
-        connection->out_pos = 0;
-        connection->out.pop_front();
-      }
+      AddOwned(&worker->bytes_out, static_cast<uint64_t>(n));
+      connection->out_pos += static_cast<size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!connection->writable_armed) {
-        connection->writable_armed = true;
-        UpdateEpollInterest(worker, connection);
-      }
-      return;  // the socket will signal EPOLLOUT when it drains
-    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     CloseConnection(worker, connection);  // peer vanished mid-reply
     return;
   }
-  if (connection->close_after_flush) {
-    CloseConnection(worker, connection);
-    return;
+  if (connection->out_pos == out.size()) {
+    out.clear();  // keeps the capacity: the next replies allocate nothing
+    connection->out_pos = 0;
+    if (connection->close_after_flush) {
+      CloseConnection(worker, connection);
+      return;
+    }
+  } else if (connection->out_pos > out.size() / 2) {
+    out.erase(0, connection->out_pos);
+    connection->out_pos = 0;
   }
-  if (connection->writable_armed) {
-    connection->writable_armed = false;
-    UpdateEpollInterest(worker, connection);
+  // Re-register the interest this state calls for: EPOLLOUT while
+  // replies are unsent; EPOLLIN unless the connection is closing (an
+  // EOF'd socket stays level-readable forever) or paused with more than
+  // kMaxPendingReplyBytes unsent.
+  const size_t pending = out.size() - connection->out_pos;
+  const bool paused =
+      !connection->close_after_flush && pending > kMaxPendingReplyBytes;
+  const uint32_t events =
+      (connection->close_after_flush || paused ? 0u : EPOLLIN) |
+      (pending > 0 ? EPOLLOUT : 0u);
+  if (events == connection->events) return;
+  if (paused && (connection->events & EPOLLIN) != 0) {
+    AddOwned(&worker->read_pauses, 1);
   }
-}
-
-void TcpRespServer::UpdateEpollInterest(Worker* worker,
-                                        Connection* connection) {
+  connection->events = events;
   epoll_event ev{};
-  // A closing connection no longer reads (see HandleReadable on EOF).
-  ev.events = (connection->close_after_flush ? 0u : EPOLLIN) |
-              (connection->writable_armed ? EPOLLOUT : 0u);
+  ev.events = events;
   ev.data.fd = connection->fd;
   ::epoll_ctl(worker->epoll_fd, EPOLL_CTL_MOD, connection->fd, &ev);
 }

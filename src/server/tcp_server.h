@@ -23,21 +23,19 @@
 //    per-shard reader/writer locks are the only mutexes on the dispatch
 //    path; the server itself adds none around handlers).
 //
-// Per-connection I/O: reads drain the socket until EAGAIN and feed each
-// chunk to the connection's incremental RESP parser; the replies each
-// chunk produces become one buffer on the connection's outbound queue,
-// and the flush path gathers every pending buffer into a single
-// scatter/gather write (sendmsg with an iovec per buffer) instead of
-// one syscall per buffer. EPOLLOUT is armed only while a partial write
-// is outstanding (slow clients block only themselves). A protocol error
-// answers -ERR and closes the connection after the flush, like a real
-// Redis.
+// Per-connection I/O: one recv per readiness event (the fds are
+// level-triggered, so unread bytes signal again), fed to the
+// connection's RESP parser, whose handlers append replies to the
+// connection's one reply buffer; send flushes it, and EPOLLOUT is armed
+// only while replies are unsent. Past kMaxPendingReplyBytes unsent, the
+// server stops reading from that client until the backlog drains
+// (Redis's output-buffer limit, minus the disconnect). A protocol error
+// answers -ERR and closes the connection after the flush, like Redis.
 #ifndef CUCKOOGRAPH_SERVER_TCP_SERVER_H_
 #define CUCKOOGRAPH_SERVER_TCP_SERVER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -91,30 +89,31 @@ class TcpRespServer {
     uint64_t connections_refused = 0;
     uint64_t bytes_in = 0;
     uint64_t bytes_out = 0;
+    // Times a connection stopped reading because more than
+    // kMaxPendingReplyBytes of its replies were unsent.
+    uint64_t read_pauses = 0;
   };
+  // Readable from any thread while the server runs (not concurrently
+  // with Start or Stop); the byte counters survive Stop.
   Stats stats() const;
+
+  // The unsent-reply backlog past which a connection stops reading.
+  static constexpr size_t kMaxPendingReplyBytes = 1 << 20;
 
  private:
   // One client socket and everything pinned to its worker: protocol
-  // state, the outbound reply queue, and the flush cursor.
+  // state, the reply buffer, and the epoll interest last registered.
   struct Connection {
     explicit Connection(int fd_in, const redis_sim::CommandTable* table)
         : fd(fd_in), conn(table) {}
     int fd = -1;
     redis_sim::RespConnection conn;
-    // Encoded replies not yet written, one buffer per parsed read chunk
-    // (a pipelined chunk's replies share a buffer). The flush path
-    // gathers the whole queue into one sendmsg; `out_pos` is how much
-    // of the front buffer a partial write already consumed.
-    std::deque<std::string> out;
+    // Encoded replies; out[out_pos, size) is not yet written.
+    std::string out;
     size_t out_pos = 0;
     bool close_after_flush = false;
-    bool writable_armed = false;  // EPOLLOUT currently requested
+    uint32_t events = 0;  // the epoll interest currently registered
   };
-
-  static bool HasPendingWrites(const Connection& connection) {
-    return !connection.out.empty();
-  }
 
   // Cross-thread state is annotated; everything else in a Worker is
   // touched only by its own event-loop thread (plus Stop after the
@@ -130,6 +129,11 @@ class TcpRespServer {
     // Worker-thread-confined: created/erased/read only on the owning
     // event loop (Stop touches it only after joining the thread).
     std::unordered_map<int, std::unique_ptr<Connection>> conns;
+    // Written by the owning worker only (a relaxed load + store, not a
+    // shared read-modify-write); stats() sums them over the workers.
+    std::atomic<uint64_t> bytes_in{0};
+    std::atomic<uint64_t> bytes_out{0};
+    std::atomic<uint64_t> read_pauses{0};
   };
 
   void WorkerLoop(Worker* worker, bool owns_listener);
@@ -140,13 +144,11 @@ class TcpRespServer {
   bool RefuseOnePending();
   void AdoptInbox(Worker* worker);
   void HandleReadable(Worker* worker, Connection* connection);
-  // Writes as much of the outbound queue as the socket takes, gathering
-  // all pending buffers into a single scatter/gather syscall per
-  // iteration; arms/disarms EPOLLOUT and closes when a drained
-  // connection asked for it.
+  // Sends as much of the reply buffer as the socket takes, then closes a
+  // drained connection that asked for it or updates its epoll interest,
+  // counting a read pause when the backlog passes kMaxPendingReplyBytes.
   void FlushWrites(Worker* worker, Connection* connection);
   void CloseConnection(Worker* worker, Connection* connection);
-  void UpdateEpollInterest(Worker* worker, Connection* connection);
 
   ServerConfig config_;
   const redis_sim::CommandTable* table_;
@@ -165,8 +167,6 @@ class TcpRespServer {
   std::atomic<uint64_t> closed_{0};
   std::atomic<uint64_t> protocol_errors_{0};
   std::atomic<uint64_t> refused_{0};
-  std::atomic<uint64_t> bytes_in_{0};
-  std::atomic<uint64_t> bytes_out_{0};
 };
 
 }  // namespace cuckoograph::server

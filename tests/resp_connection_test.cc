@@ -1,7 +1,7 @@
 // Unit tests for the transport-agnostic dispatch core, the in-process
 // front door: CommandTable (registration, arity, Span argv dispatch,
-// shared atomic counters) and RespConnection (per-connection parser
-// state, reply buffering, protocol-error handling, the request-line
+// appended replies) and RespConnection (per-connection parser state,
+// command and error counters, protocol-error handling, the request-line
 // cap). The multi-connection cases run several connections with
 // interleaved partial commands over one table.
 #include <gtest/gtest.h>
@@ -17,56 +17,91 @@
 namespace cuckoograph::redis_sim {
 namespace {
 
-// Registers an ECHO command (replies its first argument) and a PING.
-// (The table is filled in place: its atomic counters make it immovable.)
-void RegisterEcho(CommandTable* table) {
-  table->RegisterCommand("ECHO", 2, [](Span<const std::string_view> argv) {
-    return RespValue::Bulk(std::string(argv[1]));
-  });
-  table->RegisterCommand("PING", 1, [](Span<const std::string_view>) {
-    return RespValue::Simple("PONG");
-  });
+// Registers an ECHO command (replies its first argument) and a PING,
+// each counting its invocations in *calls when given.
+void RegisterEcho(CommandTable* table, int* calls = nullptr) {
+  table->RegisterCommand(
+      "ECHO", 2,
+      [calls](Span<const std::string_view> argv, std::string* out) {
+        if (calls != nullptr) ++*calls;
+        AppendBulk(out, argv[1]);
+      });
+  table->RegisterCommand(
+      "PING", 1, [calls](Span<const std::string_view>, std::string* out) {
+        if (calls != nullptr) ++*calls;
+        AppendSimple(out, "PONG");
+      });
 }
 
 TEST(CommandTableTest, DispatchRoutesBySpanArgv) {
   CommandTable table;
-  RegisterEcho(&table);
+  int calls = 0;
+  RegisterEcho(&table, &calls);
   const std::vector<std::string_view> argv = {"echo", "hello"};
   const RespValue reply = table.Dispatch(Span<const std::string_view>(argv));
   EXPECT_EQ(reply.type, RespType::kBulkString);
   EXPECT_EQ(reply.text, "hello");
-  EXPECT_EQ(table.commands_dispatched(), 1u);
-  EXPECT_EQ(table.dispatch_errors(), 0u);
+  EXPECT_EQ(calls, 1);
+
+  // The appending form writes the same bytes onto the caller's buffer.
+  std::string out = "+prefix\r\n";
+  EXPECT_TRUE(table.Dispatch(Span<const std::string_view>(argv), &out));
+  EXPECT_EQ(out, "+prefix\r\n$5\r\nhello\r\n");
+
+  // Through a connection, the command counts and no error does.
+  RespConnection conn(&table);
+  out.clear();
+  EXPECT_TRUE(conn.Feed(EncodeCommand({"ECHO", "hello"}), &out));
+  EXPECT_EQ(conn.stats().commands, 1u);
+  EXPECT_EQ(conn.stats().error_replies, 0u);
+  EXPECT_EQ(calls, 3);
 }
 
 TEST(CommandTableTest, UnknownAndWrongArityNeverReachHandlers) {
   CommandTable table;
-  RegisterEcho(&table);
+  int calls = 0;
+  RegisterEcho(&table, &calls);
   const std::vector<std::string_view> unknown = {"NOPE"};
   EXPECT_TRUE(
       table.Dispatch(Span<const std::string_view>(unknown)).IsError());
   const std::vector<std::string_view> bad_arity = {"PING", "extra"};
   EXPECT_TRUE(
       table.Dispatch(Span<const std::string_view>(bad_arity)).IsError());
-  EXPECT_EQ(table.commands_dispatched(), 0u);
-  EXPECT_EQ(table.dispatch_errors(), 2u);
+  RespConnection conn(&table);
+  std::string out;
+  EXPECT_TRUE(conn.Feed(EncodeCommand({"NOPE"}) +
+                            EncodeCommand({"PING", "extra"}),
+                        &out));
+  EXPECT_EQ(out,
+            "-ERR unknown command 'NOPE'\r\n"
+            "-ERR wrong number of arguments for 'ping' command\r\n");
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(conn.stats().error_replies, 2u);
 }
 
 TEST(CommandTableTest, HandlerErrorRepliesAreCounted) {
   CommandTable table;
-  table.RegisterCommand("FAIL", 1, [](Span<const std::string_view>) {
-    return RespValue::Error("ERR handler says no");
-  });
+  int calls = 0;
+  table.RegisterCommand(
+      "FAIL", 1, [&calls](Span<const std::string_view>, std::string* out) {
+        ++calls;
+        AppendError(out, "ERR handler says no");
+      });
   const std::vector<std::string_view> argv = {"FAIL"};
   EXPECT_TRUE(table.Dispatch(Span<const std::string_view>(argv)).IsError());
-  EXPECT_EQ(table.commands_dispatched(), 1u);
-  EXPECT_EQ(table.dispatch_errors(), 1u);
+  std::string out;
+  EXPECT_FALSE(table.Dispatch(Span<const std::string_view>(argv), &out));
+  RespConnection conn(&table);
+  EXPECT_TRUE(conn.Feed(EncodeCommand({"FAIL"}), &out));
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(conn.stats().commands, 1u);
+  EXPECT_EQ(conn.stats().error_replies, 1u);
 }
 
 TEST(CommandTableTest, RegistrationRejectsDuplicatesCaseInsensitively) {
   CommandTable table;
-  const auto handler = [](Span<const std::string_view>) {
-    return RespValue::Simple("OK");
+  const auto handler = [](Span<const std::string_view>, std::string* out) {
+    AppendSimple(out, "OK");
   };
   EXPECT_TRUE(table.RegisterCommand("PING", -1, handler));
   EXPECT_FALSE(table.RegisterCommand("ping", -1, handler));
@@ -75,9 +110,10 @@ TEST(CommandTableTest, RegistrationRejectsDuplicatesCaseInsensitively) {
 
 TEST(CommandTableTest, NegativeArityMeansAtLeast) {
   CommandTable table;
-  table.RegisterCommand("VARARG", -2, [](Span<const std::string_view> argv) {
-    return RespValue::Integer(static_cast<long long>(argv.size()));
-  });
+  table.RegisterCommand(
+      "VARARG", -2, [](Span<const std::string_view> argv, std::string* out) {
+        AppendInteger(out, static_cast<long long>(argv.size()));
+      });
   const auto dispatch = [&table](std::vector<std::string_view> argv) {
     return table.Dispatch(Span<const std::string_view>(argv));
   };
@@ -88,7 +124,8 @@ TEST(CommandTableTest, NegativeArityMeansAtLeast) {
 
 TEST(RespConnectionTest, InterleavedPartialCommandsDoNotShareParserState) {
   CommandTable table;
-  RegisterEcho(&table);
+  int calls = 0;
+  RegisterEcho(&table, &calls);
   RespConnection a(&table);
   RespConnection b(&table);
 
@@ -111,8 +148,9 @@ TEST(RespConnectionTest, InterleavedPartialCommandsDoNotShareParserState) {
   EXPECT_EQ(out_a, "$6\r\nfrom-a\r\n");
   EXPECT_EQ(a.buffered_bytes(), 0u);
 
-  // The shared table saw both dispatches; each connection counted one.
-  EXPECT_EQ(table.commands_dispatched(), 2u);
+  // The shared table's handler ran for both; each connection counted
+  // only its own.
+  EXPECT_EQ(calls, 2);
   EXPECT_EQ(a.stats().commands, 1u);
   EXPECT_EQ(b.stats().commands, 1u);
 }

@@ -3,13 +3,27 @@
 // errors, and the two client request forms (multibulk and inline).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "redis_sim/resp.h"
 
 namespace cuckoograph::redis_sim {
 namespace {
+
+// ParseCommand into a fresh argv vector, for tests that read both.
+struct Parsed {
+  CommandParse result;
+  std::vector<std::string_view> argv;
+};
+
+Parsed Parse(std::string_view wire) {
+  Parsed parsed;
+  parsed.result = ParseCommand(wire, &parsed.argv);
+  return parsed;
+}
 
 RespValue RoundTrip(const RespValue& value) {
   const std::string wire = Encode(value);
@@ -36,6 +50,12 @@ TEST(RespCodecTest, IntegerRoundTrip) {
   EXPECT_EQ(RoundTrip(RespValue::Integer(42)).integer, 42);
   EXPECT_EQ(RoundTrip(RespValue::Integer(-7)).integer, -7);
   EXPECT_EQ(Encode(RespValue::Integer(42)), ":42\r\n");
+  // The widest values the appender formats without a temporary string.
+  for (const long long extreme : {std::numeric_limits<long long>::min(),
+                                  std::numeric_limits<long long>::max()}) {
+    EXPECT_EQ(Encode(RespValue::Integer(extreme)),
+              ":" + std::to_string(extreme) + "\r\n");
+  }
 }
 
 TEST(RespCodecTest, BulkStringRoundTrip) {
@@ -110,7 +130,7 @@ TEST(RespCodecTest, NegativeAndOversizedLengthsAreProtocolErrors) {
   // One past the bulk cap; parsing must fail before allocating anything.
   EXPECT_EQ(ParseValue("$536870913\r\n").status, ParseStatus::kError);
   // The multibulk cap is request-side: ParseCommand rejects it...
-  EXPECT_EQ(ParseCommand("*1048577\r\n").status, ParseStatus::kError);
+  EXPECT_EQ(Parse("*1048577\r\n").result.status, ParseStatus::kError);
   // ...while the reply path just keeps waiting for the elements.
   EXPECT_EQ(ParseValue("*1048577\r\n").status, ParseStatus::kIncomplete);
 }
@@ -121,7 +141,7 @@ TEST(RespCodecTest, OverlongLengthHeadersFailCleanly) {
             ParseStatus::kError);
   EXPECT_EQ(ParseValue(":99999999999999999999\r\n").status,
             ParseStatus::kError);
-  EXPECT_EQ(ParseCommand("*99999999999999999999\r\n").status,
+  EXPECT_EQ(Parse("*99999999999999999999\r\n").result.status,
             ParseStatus::kError);
 }
 
@@ -159,56 +179,56 @@ TEST(RespCodecTest, ParseStopsAtValueBoundary) {
 }
 
 TEST(RespCommandTest, MultibulkCommand) {
-  const CommandParse parsed =
-      ParseCommand("*3\r\n$9\r\nCG.INSERT\r\n$1\r\n1\r\n$1\r\n2\r\n");
-  ASSERT_EQ(parsed.status, ParseStatus::kOk);
+  const Parsed parsed =
+      Parse("*3\r\n$9\r\nCG.INSERT\r\n$1\r\n1\r\n$1\r\n2\r\n");
+  ASSERT_EQ(parsed.result.status, ParseStatus::kOk);
   EXPECT_EQ(parsed.argv,
-            (std::vector<std::string>{"CG.INSERT", "1", "2"}));
+            (std::vector<std::string_view>{"CG.INSERT", "1", "2"}));
 }
 
 TEST(RespCommandTest, InlineCommandCrlfAndBareLf) {
   for (const char* wire : {"CG.QUERY 1 2\r\n", "CG.QUERY 1 2\n"}) {
-    const CommandParse parsed = ParseCommand(wire);
-    ASSERT_EQ(parsed.status, ParseStatus::kOk) << wire;
+    const Parsed parsed = Parse(wire);
+    ASSERT_EQ(parsed.result.status, ParseStatus::kOk) << wire;
     EXPECT_EQ(parsed.argv,
-              (std::vector<std::string>{"CG.QUERY", "1", "2"}));
+              (std::vector<std::string_view>{"CG.QUERY", "1", "2"}));
   }
 }
 
 TEST(RespCommandTest, InlineCommandCollapsesBlankSeparators) {
-  const CommandParse parsed = ParseCommand("  CG.DEGREE \t 7  \r\n");
-  ASSERT_EQ(parsed.status, ParseStatus::kOk);
-  EXPECT_EQ(parsed.argv, (std::vector<std::string>{"CG.DEGREE", "7"}));
+  const Parsed parsed = Parse("  CG.DEGREE \t 7  \r\n");
+  ASSERT_EQ(parsed.result.status, ParseStatus::kOk);
+  EXPECT_EQ(parsed.argv, (std::vector<std::string_view>{"CG.DEGREE", "7"}));
 }
 
 TEST(RespCommandTest, BlankInlineLineIsEmptyNoOp) {
-  const CommandParse parsed = ParseCommand("\r\n");
-  ASSERT_EQ(parsed.status, ParseStatus::kOk);
+  const Parsed parsed = Parse("\r\n");
+  ASSERT_EQ(parsed.result.status, ParseStatus::kOk);
   EXPECT_TRUE(parsed.argv.empty());
-  EXPECT_EQ(parsed.consumed, 2u);
+  EXPECT_EQ(parsed.result.consumed, 2u);
 }
 
 TEST(RespCommandTest, EmptyMultibulkIsEmptyNoOp) {
-  const CommandParse parsed = ParseCommand("*0\r\n");
-  ASSERT_EQ(parsed.status, ParseStatus::kOk);
+  const Parsed parsed = Parse("*0\r\n");
+  ASSERT_EQ(parsed.result.status, ParseStatus::kOk);
   EXPECT_TRUE(parsed.argv.empty());
 }
 
 TEST(RespCommandTest, IncompleteCommandWaitsForMoreBytes) {
-  EXPECT_EQ(ParseCommand("").status, ParseStatus::kIncomplete);
-  EXPECT_EQ(ParseCommand("CG.QUERY 1 2").status, ParseStatus::kIncomplete);
-  EXPECT_EQ(ParseCommand("*2\r\n$3\r\nfoo\r\n").status,
+  EXPECT_EQ(Parse("").result.status, ParseStatus::kIncomplete);
+  EXPECT_EQ(Parse("CG.QUERY 1 2").result.status, ParseStatus::kIncomplete);
+  EXPECT_EQ(Parse("*2\r\n$3\r\nfoo\r\n").result.status,
             ParseStatus::kIncomplete);
 }
 
 TEST(RespCommandTest, MultibulkElementsMustBeBulkStrings) {
-  const CommandParse parsed = ParseCommand("*1\r\n:5\r\n");
-  EXPECT_EQ(parsed.status, ParseStatus::kError);
-  EXPECT_NE(parsed.error.find("expected '$'"), std::string::npos);
+  const Parsed parsed = Parse("*1\r\n:5\r\n");
+  EXPECT_EQ(parsed.result.status, ParseStatus::kError);
+  EXPECT_NE(parsed.result.error.find("expected '$'"), std::string::npos);
 }
 
 TEST(RespCommandTest, NullMultibulkIsProtocolError) {
-  EXPECT_EQ(ParseCommand("*-1\r\n").status, ParseStatus::kError);
+  EXPECT_EQ(Parse("*-1\r\n").result.status, ParseStatus::kError);
 }
 
 TEST(RespCommandTest, EncodeCommandProducesMultibulk) {

@@ -3,7 +3,8 @@
 // disconnects, and the concurrency smoke the sim cannot provide — four
 // client threads driving pipelined CG.INSERT/CG.QUERY against a sharded
 // store, every reply checked against a single-threaded oracle, and fd
-// exhaustion (clients refused without spinning the acceptor). These
+// exhaustion (clients refused without spinning the acceptor), and a
+// client that never reads its replies (paused, not buffered). These
 // suites run under the CI TSan job (see the -R filter in ci.yml).
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -106,11 +107,12 @@ TEST_F(TcpRespServerTest, PipelinedBurstAnswersInOrder) {
   }
   EXPECT_EQ(replies[100].integer, 100);
 
-  // A burst several read-chunks (16 KiB) deep: the server parses it as
-  // multiple recv chunks, each queuing its own reply buffer, and the
-  // flush path must gather them into ordered scatter/gather writes.
-  // Every reply is position-checked, so a dropped, duplicated or
-  // reordered iovec segment cannot pass.
+  // A burst several read-chunks (16 KiB) deep: the server takes it in
+  // one recv per readiness event, a command torn across two chunks
+  // waits in the connection's buffer, and every chunk's replies append
+  // to the one reply buffer the flush path sends from. Every reply is
+  // position-checked, so a dropped, duplicated or reordered reply
+  // cannot pass.
   constexpr int kDeepBurst = 4000;  // ~80 KiB of request wire
   for (int i = 0; i < kDeepBurst; ++i) {
     client.Pipeline({"CG.QUERY", "7", std::to_string(i % 200)});
@@ -121,9 +123,9 @@ TEST_F(TcpRespServerTest, PipelinedBurstAnswersInOrder) {
     EXPECT_EQ(deep[static_cast<size_t>(i)].integer, i % 200 < 100 ? 1 : 0)
         << i;
   }
-  // The byte counters see the gathered writes, not the syscall shape:
-  // every reply byte must still be accounted for. The worker bumps the
-  // counter after sendmsg returns, so on a loaded single-core box the
+  // The per-worker byte counters see every reply byte, whatever the
+  // syscall shape. The worker bumps its counter after send returns, so
+  // on a loaded single-core box the
   // client can finish reading before the worker is rescheduled to
   // account the bytes — poll briefly instead of racing it.
   const uint64_t min_bytes = static_cast<uint64_t>(kDeepBurst) * 4;  // ":0\r\n"
@@ -154,9 +156,9 @@ TEST_F(TcpRespServerTest, TornFramesFromASlowClientReassemble) {
   EXPECT_EQ(client.ReadReply().integer, 0);
 
   // A longer unread pipeline, still one byte per write: frames complete
-  // on different recv chunks, so replies land on the outbound queue as
-  // many small buffers that the coalesced flush must emit in order
-  // (the client reads nothing until every byte is on the wire).
+  // on different recv chunks, so replies reach the reply buffer a few
+  // bytes at a time and must still leave it in order (the client reads
+  // nothing until every byte is on the wire).
   std::string burst;
   for (int i = 0; i < 64; ++i) {
     burst += redis_sim::EncodeCommand({"CG.QUERY", "3", std::to_string(i)});
@@ -192,6 +194,99 @@ TEST_F(TcpRespServerTest, ProtocolErrorRepliesThenClosesTheConnection) {
   // Other connections are unaffected.
   RespClient good = Connect();
   EXPECT_EQ(good.Execute({"CG.INSERT", "1", "2"}).integer, 1);
+}
+
+// A client that pipelines requests and reads none of their replies
+// must not grow the server's reply buffer without bound: once more than
+// kMaxPendingReplyBytes of replies are unsent the server stops reading
+// from it, and once the client reads, every reply still arrives in
+// order.
+TEST_F(TcpRespServerTest, ClientThatNeverReadsIsPausedNotBuffered) {
+  StartServer(1);
+  for (int v = 0; v < 100; ++v) store_.InsertEdge(7, static_cast<NodeId>(v));
+  const std::string neighbors =
+      redis_sim::Encode(Connect().Execute({"CG.NEIGHBORS", "7"}));
+
+  // ~10 MB of replies, more than the loopback socket buffers (up to
+  // 4 MB for the send side by default) plus kMaxPendingReplyBytes can
+  // hold: each ~800-byte CG.NEIGHBORS reply grows the backlog fast, and
+  // the CG.QUERY after it makes the expected stream position-dependent.
+  constexpr size_t kRounds = 12'000;
+  SplitMix64 rng(5);
+  std::string wire;
+  std::string want;
+  for (size_t i = 0; i < kRounds; ++i) {
+    const uint64_t v = rng.NextBelow(200);
+    wire += redis_sim::EncodeCommand({"CG.NEIGHBORS", "7"});
+    wire += redis_sim::EncodeCommand({"CG.QUERY", "7", std::to_string(v)});
+    want += neighbors;
+    want += v < 100 ? ":1\r\n" : ":0\r\n";
+  }
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  struct CloseFd {
+    int fd;
+    ~CloseFd() { ::close(fd); }
+  } close_fd{fd};
+  // A small receive window keeps the kernel from absorbing the replies
+  // the test wants held in the server's buffer.
+  const int rcvbuf = 16 * 1024;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server_->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0)
+      << ErrnoString(errno);
+
+  // The writer may block once the server stops reading; it finishes at
+  // the latest when the reader below drains the replies.
+  std::atomic<bool> sent_all{false};
+  std::thread writer([fd, &wire, &sent_all] {
+    size_t sent = 0;
+    while (sent < wire.size()) {
+      const ssize_t n =
+          ::send(fd, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return;
+      sent += static_cast<size_t>(n);
+    }
+    sent_all.store(true);
+  });
+  struct JoinWriter {
+    std::thread* t;
+    int fd;
+    ~JoinWriter() {
+      if (t->joinable()) {
+        ::shutdown(fd, SHUT_RDWR);  // unblocks a writer stuck in send
+        t->join();
+      }
+    }
+  } join_writer{&writer, fd};
+
+  uint64_t pauses = 0;
+  for (int spin = 0; spin < 20'000 && pauses == 0; ++spin) {
+    pauses = server_->stats().read_pauses;
+    if (pauses == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(pauses, 0u) << "the server kept reading a client that never reads";
+
+  std::string got;
+  got.reserve(want.size());
+  char buffer[64 * 1024];
+  while (got.size() < want.size()) {
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n < 0 && errno == EINTR) continue;
+    ASSERT_GT(n, 0) << "connection closed after " << got.size() << " bytes";
+    got.append(buffer, static_cast<size_t>(n));
+  }
+  writer.join();
+  EXPECT_TRUE(sent_all.load());
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_TRUE(got == want) << "replies arrived out of order";
+  EXPECT_EQ(server_->stats().protocol_errors, 0u);
 }
 
 TEST_F(TcpRespServerTest, FourThreadedPipelinedClientsMatchOracle) {
